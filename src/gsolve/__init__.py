@@ -26,13 +26,12 @@ from .matrices import (
     is_z_matrix,
 )
 from .mmio import read_matrix, read_vector, write_matrix, write_vector
-from .pde import LAYOUT_BENCH, LAYOUT_SQUARE, G_BUILTINS, PdeProblem, assemble, builtin_g
+from .pde import LAYOUT_BENCH, LAYOUT_SQUARE, G_BUILTINS, PdeProblem, assemble
 from .solvers import (
     FactorizationError,
     Method,
     RelaxationWarning,
     StepOperator,
-    apply_step,
     build_step,
     iteration_matrix,
 )
@@ -57,10 +56,8 @@ __all__ = [
     "SolveReport",
     "SquareMatrix",
     "StepOperator",
-    "apply_step",
     "assemble",
     "build_step",
-    "builtin_g",
     "classify",
     "comparison_matrix",
     "extract_splitting",

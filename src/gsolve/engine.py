@@ -1,4 +1,12 @@
-"""Full iterative solves, spectral-radius estimation, convergence prediction."""
+"""Full iterative solves, spectral radius, and convergence prediction.
+
+The spectral radius of an iteration matrix H = M^{-1} N has two paths:
+dense eigenvalues of an explicit matrix (the reference, for orders within
+the dense limit) and one operator path that never forms H, ARPACK on
+x -> M^{-1} N x (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  ``predict``
+uses the operator path at every order and decides the overrelaxed-GSOR
+theorem by M-matrix certificates, which need no eigenvalues.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +15,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .matrices import DEFAULT_DENSE_LIMIT, SquareMatrix, classify, extract_splitting
-from .solvers import (
-    Method,
-    RelaxationWarning,
-    StepOperator,
-    build_step,
-    iteration_matrix,
+from .matrices import (
+    DEFAULT_DENSE_LIMIT,
+    SquareMatrix,
+    classify,
+    extract_splitting,
+    is_m_matrix,
 )
+from .solvers import Method, RelaxationWarning, StepOperator, build_step
 
 #: A solve is declared divergent once the successive-difference norm exceeds
 #: this multiple of the first difference.
@@ -40,7 +49,7 @@ class IterationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.parse(self.method))
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -75,6 +84,10 @@ def solve(
     factorization.  When ``x_exact`` is supplied the 2-norm error of the
     final iterate is reported as ``final_error_norm``.
     """
+    if x_exact is not None:
+        x_exact = np.asarray(x_exact, dtype=np.float64)
+        if x_exact.shape != (A.n,):
+            raise ValueError(f"x_exact has shape {x_exact.shape}, expected ({A.n},)")
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
     b = np.asarray(b, dtype=np.float64)
     x = np.zeros(A.n) if config.x0 is None else np.asarray(config.x0, np.float64).copy()
@@ -101,7 +114,7 @@ def solve(
             break
     elapsed = time.perf_counter() - start
 
-    err = None if x_exact is None else float(np.linalg.norm(x - np.asarray(x_exact)))
+    err = None if x_exact is None else float(np.linalg.norm(x - x_exact))
     return SolveReport(
         converged=converged,
         iterations=iterations,
@@ -115,15 +128,20 @@ def solve(
 
 # -- spectral radius ----------------------------------------------------
 
+#: Up to this order the operator radius comes from dense eigenvalues of the
+#: explicit H: ARPACK needs order >= 3, and up to here its default Krylov
+#: space of 20 vectors spans the whole space anyway.
+SMALL_ORDER = 20
+
 
 @dataclass(frozen=True)
 class PowerEstimate:
-    """Power-mode spectral radius estimate.
+    """Operator spectral radius of H = M^{-1} N with its evidence.
 
-    ``error_bound`` is the final residual (or window spread when the
-    dominant modulus was read off norm growth); it is a heuristic bound,
-    tight for a simple well-separated dominant eigenvalue.  ``reliable`` is
-    False when the iteration stagnated without settling.
+    ``value`` is |lambda| of the dominant eigenpair (lambda, v), ||v|| = 1,
+    and ``error_bound`` is its residual ||H v - lambda v||.  When ARPACK
+    does not converge, ``reliable`` is False, ``value`` is NaN and
+    ``error_bound`` is infinite.  ``steps`` counts applications of H.
     """
 
     value: float
@@ -132,64 +150,44 @@ class PowerEstimate:
     steps: int
 
 
-def _power_estimate(
-    apply_h, n: int, max_steps: int, rtol: float, seed: int | None
-) -> PowerEstimate:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+def _operator_radius(apply_h, n: int, seed: int | None) -> PowerEstimate:
+    steps = 0
 
-    window = 16
-    growths: list[float] = []
-    prev_mean: float | None = None
-    last_estimate = 0.0
+    def counted(v: np.ndarray) -> np.ndarray:
+        nonlocal steps
+        steps += 1
+        return apply_h(v)
 
-    for k in range(1, max_steps + 1):
-        y = apply_h(x)
-        growth = float(np.linalg.norm(y))
-        if growth == 0.0:
-            # The operator annihilated a random vector: treat as nilpotent.
-            return PowerEstimate(0.0, 0.0, True, k)
-
-        rayleigh = float(x @ y)
-        residual = float(np.linalg.norm(y - rayleigh * x))
-        if residual <= rtol * max(abs(rayleigh), 1e-300):
-            return PowerEstimate(abs(rayleigh), residual, True, k)
-
-        x = y / growth
-        growths.append(growth)
-        last_estimate = growth
-        if len(growths) == window:
-            mean = float(np.exp(np.mean(np.log(growths))))
-            spread = abs(mean - prev_mean) if prev_mean is not None else np.inf
-            if prev_mean is not None and spread <= rtol * max(mean, 1e-300):
-                # Norm growth settled although no real eigenpair emerged:
-                # dominant modulus from a complex pair.
-                return PowerEstimate(mean, spread, True, k)
-            prev_mean = mean
-            growths.clear()
-            last_estimate = mean
-
-    return PowerEstimate(last_estimate, np.inf, False, max_steps)
+    if n <= SMALL_ORDER:
+        lams, vecs = np.linalg.eig(np.column_stack([counted(e) for e in np.eye(n)]))
+        k = int(np.argmax(np.abs(lams)))
+        lam, v = lams[k], vecs[:, k]
+    else:
+        H = LinearOperator((n, n), matvec=counted, dtype=np.float64)
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        try:
+            lams, vecs = eigs(H, k=1, which="LM", v0=v0)
+        except ArpackNoConvergence:
+            return PowerEstimate(float("nan"), np.inf, False, steps)
+        lam, v = lams[0], vecs[:, 0]
+    # H is real, so it is applied to the real and imaginary parts apart.
+    residual = counted(v.real) + 1j * counted(v.imag) - lam * v
+    return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), True, steps)
 
 
-def spectral_radius(
-    target,
-    mode: str = "dense",
-    *,
-    max_steps: int = 10000,
-    rtol: float = 1e-9,
-    seed: int | None = None,
-    n: int | None = None,
-):
+def spectral_radius(target, mode: str = "dense", *, seed: int | None = None,
+                    n: int | None = None):
     """Largest eigenvalue modulus of an iteration matrix.
 
     ``mode="dense"``: ``target`` is an explicit matrix (:class:`SquareMatrix`
     or ndarray); returns a float from a dense eigenvalue computation.
 
-    ``mode="power"``: ``target`` is a :class:`StepOperator` (iterated as
-    x -> M^{-1} N x) or a callable applying the operator (then ``n`` is
-    required); returns a :class:`PowerEstimate`.
+    ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
+    x -> M^{-1} N x) or a callable applying an operator (then ``n`` is
+    required); returns a :class:`PowerEstimate`.  ARPACK finds the dominant
+    eigenpair from the start vector drawn with ``seed``; orders up to
+    ``SMALL_ORDER`` use dense eigenvalues of the operator applied to the
+    identity, and an operator with an empty N part has radius 0.
     """
     if mode == "dense":
         if isinstance(target, SquareMatrix):
@@ -202,13 +200,13 @@ def spectral_radius(
     if mode == "power":
         if isinstance(target, StepOperator):
             op = target
-            return _power_estimate(
-                lambda v: op.solve_m(op.n_part @ v), op.n, max_steps, rtol, seed
-            )
+            if op.n_part.nnz == 0:
+                return PowerEstimate(0.0, 0.0, True, 0)
+            return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed)
         if callable(target):
             if n is None:
                 raise ValueError("power mode with a callable needs the dimension n")
-            return _power_estimate(target, n, max_steps, rtol, seed)
+            return _operator_radius(target, n, seed)
         raise TypeError("power mode needs a StepOperator or a callable")
     raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
 
@@ -223,9 +221,11 @@ class ConvergenceVerdict:
     """Outcome of matching (matrix class, method, omega) against the theorems.
 
     ``guaranteed`` means at least one convergence theorem applies.
-    ``predicted_converges`` is the spectral-radius verdict when the order
-    permits an explicit iteration matrix, the theorem verdict otherwise,
-    and ``None`` when neither is available.
+    ``rho_estimate`` is the operator spectral radius of the iteration
+    matrix (see :class:`PowerEstimate`), at any order, and ``None`` when
+    ARPACK did not converge.  ``predicted_converges`` is ``rho < 1`` when
+    the radius is known, the theorem verdict otherwise, and ``None`` when
+    neither is available.
     """
 
     rho_estimate: float | None
@@ -245,8 +245,10 @@ def predict(
     bandwidth; the same classes converge under GSOR for omega in (0, 1];
     an M-matrix also converges under overrelaxed GSOR whenever
     omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
+    ``dense_limit`` bounds the order of the SPD Cholesky in :func:`classify`.
     """
     report = classify(A, dense_limit=dense_limit)
+    splitting = extract_splitting(A, config.m)
     method: Method = config.method
     omega = config.omega
     tags: list[str] = []
@@ -256,33 +258,28 @@ def predict(
         tags.extend(f"{cls}+{method.value.upper()}" for cls, ok in memberships if ok)
     elif omega is not None and 0.0 < omega <= 1.0:
         tags.extend(f"{cls}+GSOR(0<omega<=1)" for cls, ok in memberships if ok)
-    elif (
-        omega is not None
-        and omega > 1.0
-        and report.is_m
-        and A.n <= dense_limit
-    ):
-        splitting = extract_splitting(A, config.m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            rho_gj = spectral_radius(
-                iteration_matrix(build_step(splitting, Method.GJ), dense_limit)
-            )
-        band_inv_lower = np.linalg.solve(
-            splitting.band.to_dense(), splitting.lower.to_dense()
-        )
-        if omega < 2.0 / (1.0 + rho_gj) and spectral_radius(band_inv_lower) < 1.0 / omega:
+    elif omega is not None and omega > 1.0 and report.is_m:
+        # A is an M-matrix, so band is one and lower, upper >= 0.  By the
+        # regular-splitting theorem (Varga, Thm 3.13), c*band - N with c > 0
+        # and N >= 0 is then a nonsingular M-matrix iff rho(band^{-1} N) < c:
+        #   N = lower + upper, c = 2/omega - 1:  omega < 2 / (1 + rho(H_GJ));
+        #   N = omega*lower,   c = 1:            rho(band^{-1} lower) < 1/omega.
+        # For omega >= 2 (c <= 0) no positive witness exists, as required.
+        band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
+        gj_margin = SquareMatrix.from_csr((2.0 / omega - 1.0) * band - lower - upper)
+        gsor_m_part = SquareMatrix.from_csr(band - omega * lower)
+        if is_m_matrix(gj_margin)[0] and is_m_matrix(gsor_m_part)[0]:
             tags.append(TAG_OVERRELAXED_M)
 
     guaranteed = bool(tags)
-    rho: float | None = None
-    predicted: bool | None = True if guaranteed else None
-    if A.n <= dense_limit:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            op = build_step(extract_splitting(A, config.m), method, omega)
-            rho = spectral_radius(iteration_matrix(op, dense_limit))
-        predicted = bool(rho < 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelaxationWarning)
+        op = build_step(splitting, method, omega)
+    estimate = spectral_radius(op, mode="power", seed=0)
+    if estimate.reliable:
+        rho, predicted = estimate.value, bool(estimate.value < 1.0)
+    else:
+        rho, predicted = None, (True if guaranteed else None)
 
     return ConvergenceVerdict(
         rho_estimate=rho,

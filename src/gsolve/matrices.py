@@ -39,16 +39,20 @@ def _canonical(mat) -> sp.csr_array:
 class SquareMatrix:
     """Real n-by-n matrix in sparse CSR form.
 
-    Stored entries are nonzero and unique per coordinate; duplicate
+    Stored entries are finite, nonzero and unique per coordinate; duplicate
     coordinates passed to a constructor are summed (Matrix Market
-    convention).  ``symmetry_hint`` records how the matrix was declared in
-    its source file, if any; it is advisory and never trusted by the
-    symmetry checks.
+    convention), and NaN or infinite entries are rejected.
+    ``symmetry_hint`` records how the matrix was declared in its source
+    file, if any; it is advisory and never trusted by the symmetry checks.
     """
 
     n: int
     csr: sp.csr_array
     symmetry_hint: bool | None = None
+
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.csr.data)):
+            raise ValueError("matrix entries must be finite, got NaN or inf")
 
     # -- constructors -------------------------------------------------
 

@@ -41,17 +41,6 @@ G_BUILTINS: dict[str, Callable[[float, float], float]] = {
 }
 
 
-def builtin_g(g_id: str, x: float, y: float) -> float:
-    """Evaluate one of the named reaction coefficients at (x, y)."""
-    try:
-        fn = G_BUILTINS[g_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown g {g_id!r}; expected one of {', '.join(G_BUILTINS)}"
-        ) from None
-    return float(fn(x, y))
-
-
 @dataclass(frozen=True, eq=False)
 class PdeProblem:
     """Assembled benchmark system with its manufactured exact solution."""

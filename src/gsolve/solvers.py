@@ -61,16 +61,12 @@ class StepOperator:
     """
 
     method: Method
-    splitting: BandedSplitting
+    n: int
     omega: float | None
     m_part: sp.csr_array
     n_part: sp.csr_array
     rhs_scale: float
     lu: SuperLU
-
-    @property
-    def n(self) -> int:
-        return self.splitting.n
 
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
@@ -94,10 +90,10 @@ def build_step(
 ) -> StepOperator:
     """Assemble M and N for the method and factorize M once.
 
-    GSOR requires omega != 0.  Any omega in (0, 1] is covered by at least
-    one convergence theorem for suitable matrix classes; other values are
-    accepted (the classical necessary condition |omega - 1| < 1 is not
-    enforced) but flagged with a :class:`RelaxationWarning`.
+    GSOR requires a finite omega != 0.  Any omega in (0, 1] is covered by
+    at least one convergence theorem for suitable matrix classes; other
+    values are accepted (the classical necessary condition |omega - 1| < 1
+    is not enforced) but flagged with a :class:`RelaxationWarning`.
     """
     method = Method.parse(method)
     band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
@@ -106,8 +102,8 @@ def build_step(
         if omega is None:
             raise ValueError("gsor requires a relaxation factor omega")
         omega = float(omega)
-        if omega == 0.0:
-            raise ValueError("omega must be nonzero for gsor")
+        if omega == 0.0 or not np.isfinite(omega):
+            raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
         if not 0.0 < omega <= 1.0:
             warnings.warn(
                 f"omega={omega} is outside (0, 1]; no convergence theorem applies",
@@ -134,18 +130,13 @@ def build_step(
 
     return StepOperator(
         method=method,
-        splitting=splitting,
+        n=splitting.n,
         omega=omega,
         m_part=m_part,
         n_part=n_part,
         rhs_scale=rhs_scale,
         lu=lu,
     )
-
-
-def apply_step(op: StepOperator, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Functional form of :meth:`StepOperator.apply`."""
-    return op.apply(x, b)
 
 
 def iteration_matrix(

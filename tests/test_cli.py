@@ -137,6 +137,38 @@ class TestRun:
         assert code == 2
         assert "unknown keys" in err
 
+    def test_unknown_g_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--pde", "g=cubed", "n=5", "--method", "gj")
+        assert code == 2
+        assert "unknown g" in err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--omega", "nan", "omega must be finite"),
+        ("--omega", "inf", "omega must be finite"),
+        ("--omega", "-inf", "omega must be finite"),
+        ("--tol", "nan", "tol must be positive"),
+    ])
+    def test_non_finite_parameters_are_usage_errors(self, capsys, option, value, message):
+        code, out, err = run_cli(
+            capsys, "run", "--pde", "g=zero", "n=4", "--method", "gsor",
+            "--omega", "1.2", f"{option}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_non_finite_matrix_entry_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 2\n"
+            "1 1 nan\n"
+            "2 2 1.0\n"
+        )
+        code, _, err = run_cli(capsys, "classify", "--mtx", str(path))
+        assert code == 2
+        assert "finite" in err
+
 
 class TestTable:
     def test_markdown_layout_and_counts(self, capsys):

@@ -1,8 +1,13 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import gsolve.engine
 from gsolve import (
     IterationConfig,
     Method,
@@ -16,9 +21,11 @@ from gsolve import (
     solve,
     spectral_radius,
 )
-from gsolve.engine import TAG_OVERRELAXED_M
-from gsolve.generators import random_m_matrix, random_sdd_matrix
+from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M
+from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, assemble
+
+GENERATORS = (random_sdd_matrix, random_m_matrix, random_h_matrix)
 
 
 def _explicit_h(A, method, m, omega=None):
@@ -26,6 +33,11 @@ def _explicit_h(A, method, m, omega=None):
         warnings.simplefilter("ignore", RelaxationWarning)
         op = build_step(extract_splitting(A, m), method, omega)
         return iteration_matrix(op)
+
+
+def _no_convergence(*args, **kwargs):
+    """Stand-in for ``eigs`` that never converges."""
+    raise ArpackNoConvergence("no convergence", np.array([]), np.empty((0, 0)))
 
 
 class TestIterationConfig:
@@ -40,6 +52,11 @@ class TestIterationConfig:
             IterationConfig("nope", m=0)
         with pytest.raises(ValueError, match="omega"):
             IterationConfig("gsor", m=1)
+
+    @given(st.floats(max_value=0.0) | st.just(float("nan")))
+    def test_non_positive_or_nan_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            IterationConfig("gj", m=1, tol=tol)
 
     def test_method_normalized(self):
         assert IterationConfig("GGS", m=0).method is Method.GGS
@@ -96,6 +113,17 @@ class TestSolve:
         assert report.converged
         assert report.iterations == 1
 
+    @given(st.integers(0, 12), st.booleans())
+    def test_misshapen_x_exact_rejected_before_iterating(self, length, as_column):
+        problem = assemble(2, "zero")  # order 4
+        shape = (length, 1) if as_column else (length,)
+        assume(shape != (4,))
+        started = AssertionError("solve set up the iteration before checking x_exact")
+        with mock.patch.object(gsolve.engine, "build_step", side_effect=started):
+            with pytest.raises(ValueError, match="x_exact"):
+                solve(problem.A, problem.b, IterationConfig("gj", m=1),
+                      x_exact=np.ones(shape))
+
     def test_max_iter_is_respected(self, spd3):
         b = spd3.to_dense() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("gj", m=1, max_iter=5))
@@ -148,13 +176,12 @@ class TestSpectralRadius:
         assert estimate.value == 0.0
         assert estimate.reliable
 
-    def test_power_flags_stagnation(self):
-        # Jordan block: defective dominant eigenvalue, 1/k convergence
-        H = np.array([[1.0, 1.0], [0.0, 1.0]])
-        estimate = spectral_radius(lambda v: H @ v, mode="power", n=2, seed=0,
-                                   max_steps=60)
+    def test_power_flags_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(gsolve.engine, "eigs", _no_convergence)
+        n = SMALL_ORDER + 10
+        estimate = spectral_radius(lambda v: 0.5 * v, mode="power", n=n, seed=0)
         assert not estimate.reliable
-        assert estimate.value == pytest.approx(1.0, rel=0.2)
+        assert estimate.error_bound == np.inf
 
     def test_power_handles_complex_dominant_pair(self):
         # rotation: eigenvalues +-i, modulus exactly 1, no real eigenpair
@@ -162,6 +189,39 @@ class TestSpectralRadius:
         estimate = spectral_radius(lambda v: H @ v, mode="power", n=2, seed=1)
         assert estimate.reliable
         assert estimate.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_power_on_empty_n_part_is_zero(self, spd3):
+        # full bandwidth: GJ is a direct solve, N = 0
+        op = build_step(extract_splitting(spd3, 2), "gj")
+        assert spectral_radius(op, mode="power") == PowerEstimate(0.0, 0.0, True, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(GENERATORS),
+        st.integers(3, 2 * SMALL_ORDER),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gj", "ggs", "gsor"]),
+        st.floats(0.1, 1.9),
+        st.data(),
+    )
+    def test_operator_radius_matches_dense_oracle(self, generator, n, seed, method,
+                                                  omega, data):
+        A = generator(n, np.random.default_rng(seed))
+        m = data.draw(st.integers(0, n - 1), label="m")
+        if method != "gsor":
+            omega = None
+        want = spectral_radius(_explicit_h(A, method, m, omega))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RelaxationWarning)
+            op = build_step(extract_splitting(A, m), method, omega)
+        estimate = spectral_radius(op, mode="power", seed=seed)
+        scale = max(want, 1.0)
+        if estimate.reliable:
+            assert estimate.value == pytest.approx(want, abs=1e-8 * scale)
+            assert estimate.error_bound <= 1e-8 * scale
+        else:
+            # ARPACK may give up on near-equal dominant moduli; it must say so
+            assert n > SMALL_ORDER and estimate.error_bound == np.inf
 
 
 class TestPredict:
@@ -214,15 +274,44 @@ class TestPredict:
             else:
                 assert TAG_OVERRELAXED_M not in verdict.guarantee_source
 
-    def test_above_dense_limit_keeps_theorem_verdict(self):
-        problem = assemble(8, "zero")
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 11), st.integers(0, 2**32 - 1), st.floats(1.0, 2.2,
+           exclude_min=True), st.data())
+    def test_overrelaxed_certificates_match_dense_test(self, n, seed, omega, data):
+        A = random_m_matrix(n, np.random.default_rng(seed))
+        m = data.draw(st.integers(0, n - 1), label="m")
+        rho_gj = spectral_radius(_explicit_h(A, "gj", m))
+        splitting = extract_splitting(A, m)
+        gate = spectral_radius(
+            np.linalg.solve(splitting.band.to_dense(), splitting.lower.to_dense())
+        )
+        want = omega < 2.0 / (1.0 + rho_gj) and gate < 1.0 / omega
+        verdict = predict(A, IterationConfig("gsor", m=m, omega=omega))
+        assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == want
+
+    def test_rho_reported_above_spd_limit(self, spd3):
+        problem = assemble(8, "zero")  # order 64: the ARPACK path
         verdict = predict(problem.A, IterationConfig("ggs", m=1), dense_limit=10)
+        want = spectral_radius(_explicit_h(problem.A, "ggs", 1))
+        assert verdict.rho_estimate == pytest.approx(want, rel=1e-10)
+        assert verdict.guaranteed
+        assert verdict.predicted_converges is True
+
+        verdict = predict(spd3, IterationConfig("gj", m=1), dense_limit=2)
+        assert verdict.rho_estimate == pytest.approx(1.5883, abs=5e-5)
+        assert not verdict.guaranteed
+        assert verdict.predicted_converges is False
+
+    def test_unreliable_radius_keeps_theorem_verdict(self, monkeypatch):
+        monkeypatch.setattr(gsolve.engine, "eigs", _no_convergence)
+        problem = assemble(8, "zero")
+        verdict = predict(problem.A, IterationConfig("ggs", m=1))
         assert verdict.rho_estimate is None
         assert verdict.guaranteed
         assert verdict.predicted_converges is True
 
-    def test_above_dense_limit_without_guarantee_is_undetermined(self, spd3):
-        verdict = predict(spd3, IterationConfig("gj", m=1), dense_limit=2)
+        # omega far beyond 2 / (1 + rho(H_GJ)): no theorem applies
+        verdict = predict(problem.A, IterationConfig("gsor", m=1, omega=1.95))
         assert verdict.rho_estimate is None
         assert not verdict.guaranteed
         assert verdict.predicted_converges is None

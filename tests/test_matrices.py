@@ -62,6 +62,19 @@ class TestSquareMatrix:
         A = SquareMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]])
         assert list(A.entries()) == [(1, 1, 1.0), (2, 1, 2.0), (2, 2, 3.0)]
 
+    @given(matrix_and_bandwidth(), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.data())
+    def test_non_finite_entries_rejected(self, case, bad, data):
+        A, _ = case
+        dense = A.to_dense()
+        i = data.draw(st.integers(0, A.n - 1), label="i")
+        j = data.draw(st.integers(0, A.n - 1), label="j")
+        dense[i, j] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SquareMatrix.from_dense(dense)
+        with pytest.raises(ValueError, match="finite"):
+            SquareMatrix.from_entries(A.n, [(i + 1, j + 1, bad)])
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             SquareMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

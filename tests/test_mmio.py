@@ -59,6 +59,19 @@ def test_rectangular_rejected(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_entry_rejected(tmp_path, bad):
+    path = tmp_path / "nonfinite.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        f"1 1 {bad}\n"
+        "2 2 1.0\n"
+    )
+    with pytest.raises(ValueError, match="finite"):
+        read_matrix(path)
+
+
 def test_garbage_rejected(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("this is not a matrix\n")

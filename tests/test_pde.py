@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsolve import is_m_matrix, is_sdd
-from gsolve.pde import LAYOUT_BENCH, LAYOUT_SQUARE, assemble, builtin_g
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
 def test_smallest_square_system_is_fully_determined():
@@ -37,12 +37,10 @@ def test_row_major_grid_ordering():
 
 
 def test_builtin_g_values():
-    assert builtin_g("xplusy", 0.5, 0.25) == 0.75
-    assert builtin_g("zero", 0.3, 0.9) == 0.0
-    assert builtin_g("expxy", 0.0, 1.0) == 1.0
-    assert builtin_g("negexp4xy", 1.0, 1.0) == pytest.approx(-np.exp(4.0))
-    with pytest.raises(ValueError, match="unknown g"):
-        builtin_g("cubed", 0.0, 0.0)
+    assert G_BUILTINS["xplusy"](0.5, 0.25) == 0.75
+    assert G_BUILTINS["zero"](0.3, 0.9) == 0.0
+    assert G_BUILTINS["expxy"](0.0, 1.0) == 1.0
+    assert G_BUILTINS["negexp4xy"](1.0, 1.0) == pytest.approx(-np.exp(4.0))
 
 
 @pytest.mark.parametrize("layout", [LAYOUT_SQUARE, LAYOUT_BENCH])

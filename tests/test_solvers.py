@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gsolve import (
     FactorizationError,
     Method,
     RelaxationWarning,
     SquareMatrix,
-    apply_step,
     build_step,
     extract_splitting,
     iteration_matrix,
@@ -49,6 +50,13 @@ class TestBuildStep:
             build_step(s, "gsor")
         with pytest.raises(ValueError):
             build_step(s, "gsor", 0.0)
+
+    @given(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           st.integers(0, 2))
+    def test_non_finite_omega_rejected(self, omega, m):
+        s = extract_splitting(SquareMatrix.from_dense(np.eye(3) * 4.0 - 1.0), m)
+        with pytest.raises(ValueError, match="finite"):
+            build_step(s, "gsor", omega)
 
     def test_omega_warning_outside_unit_interval(self, spd3):
         s = extract_splitting(spd3, 1)
@@ -103,7 +111,7 @@ class TestApplyStep:
         # b chosen so the fixed point is the ones vector
         b = spd3.to_dense() @ np.ones(3)
         op = build_step(extract_splitting(spd3, 1), "gj")
-        got = apply_step(op, np.zeros(3), b)
+        got = op.apply(np.zeros(3), b)
         oracle = np.linalg.solve(extract_splitting(spd3, 1).band.to_dense(), b)
         np.testing.assert_allclose(got, oracle, rtol=1e-13)
 
