@@ -70,6 +70,15 @@ class SolveReport:
     note: str = ""
 
 
+def _finite_vector(name: str, v, n: int) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return v
+
+
 def solve(
     A: SquareMatrix,
     b: np.ndarray,
@@ -82,15 +91,14 @@ def solve(
     ``DIVERGENCE_GUARD`` times the first difference (or goes non-finite).
     Wall time covers the iteration loop only, not splitting extraction or
     factorization.  When ``x_exact`` is supplied the 2-norm error of the
-    final iterate is reported as ``final_error_norm``.
+    final iterate is reported as ``final_error_norm``.  A misshapen or
+    non-finite ``b``, ``x0`` or ``x_exact`` raises ValueError before set-up.
     """
+    b = _finite_vector("b", b, A.n)
+    x = np.zeros(A.n) if config.x0 is None else _finite_vector("x0", config.x0, A.n)
     if x_exact is not None:
-        x_exact = np.asarray(x_exact, dtype=np.float64)
-        if x_exact.shape != (A.n,):
-            raise ValueError(f"x_exact has shape {x_exact.shape}, expected ({A.n},)")
+        x_exact = _finite_vector("x_exact", x_exact, A.n)
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(A.n) if config.x0 is None else np.asarray(config.x0, np.float64).copy()
 
     converged = False
     note = ""

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-#: Largest order for which dense fallbacks (Cholesky, explicit iteration
-#: matrices, dense eigenvalues) are attempted by default.
+#: Largest order for the dense SPD Cholesky of :func:`classify` and for an
+#: explicit iteration matrix (``iteration_matrix``, the CLI's dense ``rho``).
 DEFAULT_DENSE_LIMIT = 2000
 
 #: Smallest admissible component of an M-matrix witness after scaling the

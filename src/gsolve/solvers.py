@@ -9,10 +9,12 @@ differ only in how the parts are assigned to the M/N pair:
 * GSOR: M = band - omega*lower,  N = (1-omega)*band + omega*upper,
         a splitting of omega*A; the right-hand side is scaled by omega.
 
-Each operator factorizes its M part once (sparse LU, natural ordering with
-partial pivoting) and then applies the update x -> M^{-1}(N x + c b) any
-number of times.  At m = 0 the methods reduce to classical Jacobi,
-Gauss-Seidel, and SOR.
+Each operator factorizes its M part once (sparse LU with partial pivoting)
+and then applies the update x -> M^{-1}(N x + c b) any number of times.
+The column ordering is chosen from the structure of M: natural order where
+it adds no fill, minimum degree on M^T + M where it would fill the lower
+envelope (see :func:`build_step`).  At m = 0 the methods reduce to
+classical Jacobi, Gauss-Seidel, and SOR.
 """
 
 from __future__ import annotations
@@ -121,8 +123,12 @@ def build_step(
             m_part, n_part = sp.csr_array(band - lower), upper
         rhs_scale = 1.0
 
+    fills = method is not Method.GJ and splitting.m > 0 and lower.nnz > 0
     try:
-        lu = splu(sp.csc_matrix(m_part), permc_spec="NATURAL")
+        lu = splu(
+            sp.csc_matrix(m_part),
+            permc_spec="MMD_AT_PLUS_A" if fills else "NATURAL",
+        )
     except (RuntimeError, ValueError) as err:
         raise FactorizationError(
             f"M part is singular for method={method.value}, m={splitting.m}: {err}"

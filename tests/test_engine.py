@@ -124,6 +124,32 @@ class TestSolve:
                 solve(problem.A, problem.b, IterationConfig("gj", m=1),
                       x_exact=np.ones(shape))
 
+    @staticmethod
+    def _solve_without_set_up(name, vec):
+        """Solve with ``vec`` as b, x0 or x_exact; failing if build_step is reached."""
+        problem = assemble(2, "zero")  # order 4
+        args = {"b": problem.b, "x0": None, "x_exact": None, name: vec}
+        started = AssertionError(f"solve set up the iteration before checking {name}")
+        with mock.patch.object(gsolve.engine, "build_step", side_effect=started):
+            solve(problem.A, args["b"], IterationConfig("gj", m=1, x0=args["x0"]),
+                  x_exact=args["x_exact"])
+
+    @given(st.sampled_from(["b", "x0"]), st.integers(0, 12), st.booleans())
+    def test_misshapen_b_or_x0_rejected_before_set_up(self, name, length, as_column):
+        shape = (length, 1) if as_column else (length,)
+        assume(shape != (4,))
+        with pytest.raises(ValueError, match=rf"^{name} has shape"):
+            self._solve_without_set_up(name, np.ones(shape))
+
+    @given(st.sampled_from(["b", "x0", "x_exact"]),
+           st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           st.integers(0, 3))
+    def test_non_finite_vector_rejected_before_set_up(self, name, value, index):
+        vec = np.ones(4)
+        vec[index] = value
+        with pytest.raises(ValueError, match=rf"^{name} has non-finite"):
+            self._solve_without_set_up(name, vec)
+
     def test_max_iter_is_respected(self, spd3):
         b = spd3.to_dense() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("gj", m=1, max_iter=5))

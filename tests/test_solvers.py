@@ -2,20 +2,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from gsolve import (
     FactorizationError,
+    IterationConfig,
     Method,
     RelaxationWarning,
     SquareMatrix,
     build_step,
     extract_splitting,
     iteration_matrix,
+    solve,
     spectral_radius,
 )
-from gsolve.pde import assemble
+from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
 
 
 def random_strong_diag(rng, n):
@@ -23,6 +28,21 @@ def random_strong_diag(rng, n):
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     np.fill_diagonal(a, np.sign(np.diag(a) + 0.5) * (np.abs(a).sum(axis=1) + 1.0))
     return a
+
+
+def natural_lu(op):
+    """Reference factor of the operator's M part in natural column order."""
+    return splu(sp.csc_matrix(op.m_part), permc_spec="NATURAL")
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def build_quietly(A, method, m, omega=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelaxationWarning)
+        return build_step(extract_splitting(A, m), method, omega)
 
 
 def classical_iteration_matrix(dense, method, omega=None):
@@ -226,3 +246,68 @@ def test_concurrent_apply_is_safe():
         threaded = list(pool.map(lambda x: op.apply(x, b), starts))
     for got, want in zip(threaded, sequential):
         np.testing.assert_array_equal(got, want)
+
+
+class TestOrdering:
+    """M is factorized in natural order unless that order fills its envelope."""
+
+    @pytest.fixture(scope="class")
+    def bench100(self):
+        return assemble(100, "xplusy", layout=LAYOUT_BENCH).A  # order 9900
+
+    @pytest.mark.parametrize("method, m, omega", [("gj", 1, None), ("gsor", 0, 1.5)])
+    def test_natural_order_where_it_adds_no_fill(self, bench100, method, m, omega):
+        op = build_quietly(bench100, method, m, omega)
+        np.testing.assert_array_equal(op.lu.perm_c, np.arange(bench100.n))
+        assert fill(op.lu) == fill(natural_lu(op))
+
+    @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
+    def test_fill_reducing_order_for_ggs_and_gsor(self, bench100, method, omega):
+        op = build_quietly(bench100, method, 1, omega)
+        assert fill(op.lu) < fill(natural_lu(op))
+
+    @pytest.mark.parametrize("g_id", sorted(G_BUILTINS))
+    def test_iteration_counts_match_natural_order_reference(self, g_id):
+        problem = assemble(60, g_id, layout=LAYOUT_BENCH)
+        A, b = problem.A, problem.b
+        for method, m, omega in (("gsor", 0, 1.9), ("gsor", 1, 1.9), ("ggs", 1, None)):
+            config = IterationConfig(method, m=m, omega=omega)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RelaxationWarning)
+                report = solve(A, b, config)
+            op = build_quietly(A, method, m, omega)
+            reference = natural_lu(op)
+            x = np.zeros(A.n)
+            for k in range(1, config.max_iter + 1):
+                x_next = reference.solve(op.n_part @ x + op.rhs_scale * b)
+                diff = np.linalg.norm(x_next - x)
+                x = x_next
+                if diff <= config.tol:
+                    break
+            assert report.converged
+            assert report.iterations == k, (method, m)
+            np.testing.assert_allclose(report.solution, x, rtol=0, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((random_sdd_matrix, random_m_matrix, random_h_matrix)),
+        st.integers(2, 30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gj", "ggs", "gsor"]),
+        st.floats(0.01, 1.99),
+        st.data(),
+    )
+    def test_solve_m_matches_dense_solve(self, generator, n, seed, method, omega, data):
+        rng = np.random.default_rng(seed)
+        A = generator(n, rng)
+        m = data.draw(st.integers(0, n - 1), label="m")
+        s = extract_splitting(A, m)
+        lower_scale = {"gj": 0.0, "ggs": 1.0, "gsor": omega}[method]
+        dense_m = s.band.to_dense() - lower_scale * s.lower.to_dense()
+        cond = np.linalg.cond(dense_m)
+        assume(cond < 1e10)
+        op = build_quietly(A, method, m, omega if method == "gsor" else None)
+        v = rng.standard_normal(n)
+        want = np.linalg.solve(dense_m, v)
+        got = op.solve_m(v)
+        assert np.linalg.norm(got - want) <= 1e-12 * cond * np.linalg.norm(want)
