@@ -267,11 +267,8 @@ def _cmd_classify(args, out) -> int:
         print(f"note: {note}", file=out)
     if args.predict:
         _, method, m, omega = _method_plan(args.predict, args.m, args.omega)
-        verdict = predict(
-            A,
-            IterationConfig(method=method, m=m, omega=omega),
-            dense_limit=args.dense_limit,
-        )
+        verdict = predict(A, IterationConfig(method=method, m=m, omega=omega),
+                          report=report)
         print(f"predict: method={args.predict} m={m} omega={_fmt(omega)}", file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
         print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)
@@ -284,8 +281,6 @@ def _cmd_classify(args, out) -> int:
 def _cmd_rho(args, out) -> int:
     _, A, _, _ = _load_source(args)
     _, method, m, omega = _method_plan(args.method, args.m, args.omega)
-    if m > A.n - 1:
-        raise CliError(f"m={m} too large for order {A.n}")
     op = build_step(extract_splitting(A, m), method, omega)
     if args.power:
         estimate = spectral_radius(op, mode="power", seed=args.seed)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .matrices import (
-    DEFAULT_DENSE_LIMIT,
+    ClassificationReport,
     SquareMatrix,
     classify,
     extract_splitting,
@@ -245,17 +245,19 @@ class ConvergenceVerdict:
 def predict(
     A: SquareMatrix,
     config: IterationConfig,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    report: ClassificationReport | None = None,
 ) -> ConvergenceVerdict:
-    """Classify A and look up the applicable convergence guarantees.
+    """Look up the convergence guarantees that A's classes give the method.
 
     Guarantees: SDD, M, and H matrices converge under GJ and GGS for any
     bandwidth; the same classes converge under GSOR for omega in (0, 1];
     an M-matrix also converges under overrelaxed GSOR whenever
     omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
-    ``dense_limit`` bounds the order of the SPD Cholesky in :func:`classify`.
+    ``report`` is A's :func:`classify` report when the caller already has
+    it; without one, A is classified here with the default dense limit.
     """
-    report = classify(A, dense_limit=dense_limit)
+    if report is None:
+        report = classify(A)
     splitting = extract_splitting(A, config.m)
     method: Method = config.method
     omega = config.omega

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gsolve import comparison_matrix, extract_splitting, read_matrix
+import gsolve.cli
+import gsolve.engine
+from gsolve import classify, comparison_matrix, extract_splitting, read_matrix
 from gsolve.cli import main
 
 
@@ -203,6 +205,24 @@ class TestTable:
         assert strip_timings(first) == strip_timings(second)
 
 
+#: Output of ``classify --pde g=zero n=40 --predict gsor --m 1 --omega 1.5``
+#: as recorded from the dense-Cholesky, COLAMD-ordered witness implementation.
+RECORDED_PREDICT_N40 = """\
+source: pde:g=zero:n=40:layout=bench (order 1560)
+sdd: false
+z: true
+l: true
+m: true
+h: true
+spd: true
+m_witness_min: 0.018017110144593486
+predict: method=gsor m=1 omega=1.5
+guaranteed: false (none)
+rho: 0.963655
+predicted_converges: true
+"""
+
+
 class TestClassify:
     def test_spd_counterexample_file(self, capsys, fixtures_dir):
         code, out, _ = run_cli(capsys, "classify", "--mtx", str(fixtures_dir / "spd3.mtx"))
@@ -236,6 +256,39 @@ class TestClassify:
         assert "guaranteed: true" in out
         assert "M+GSOR(0<omega<=1)" in out
         assert "predicted_converges: true" in out
+
+    def test_predict_classifies_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_classify(A, *args, **kwargs):
+            calls.append(A)
+            return classify(A, *args, **kwargs)
+
+        monkeypatch.setattr(gsolve.engine, "classify", counting_classify)
+        monkeypatch.setattr(gsolve.cli, "classify", counting_classify)
+        code, _, _ = run_cli(
+            capsys, "classify", "--pde", "g=zero", "n=10",
+            "--predict", "gsor", "--m", "1", "--omega", "1.5",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_predict_output_at_bench_n40(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--pde", "g=zero", "n=40",
+            "--predict", "gsor", "--m", "1", "--omega", "1.5",
+        )
+        assert code == 0
+        got, want = out.splitlines(), RECORDED_PREDICT_N40.splitlines()
+        assert len(got) == len(want)
+        for got_line, want_line in zip(got, want):
+            # the witness digits depend on the sparse solve's column ordering
+            if want_line.startswith("m_witness_min: "):
+                assert float(got_line.split(": ")[1]) == pytest.approx(
+                    float(want_line.split(": ")[1]), rel=1e-12
+                )
+            else:
+                assert got_line == want_line
 
     def test_spd_undetermined_above_dense_limit(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
@@ -298,6 +351,13 @@ class TestRho:
         )
         assert code == 2
         assert "exceeds dense limit 50" in err
+
+    def test_half_bandwidth_beyond_order_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rho", "--pde", "g=zero", "n=5", "--method", "gj", "--m", "99"
+        )
+        assert code == 2
+        assert "half-bandwidth m=99 outside [0, 19]" in err
 
     def test_singular_m_part_is_a_clean_error(self, capsys, tmp_path):
         path = tmp_path / "singular-diag.mtx"

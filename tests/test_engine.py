@@ -15,6 +15,7 @@ from gsolve import (
     RelaxationWarning,
     SquareMatrix,
     build_step,
+    classify,
     extract_splitting,
     iteration_matrix,
     predict,
@@ -315,15 +316,29 @@ class TestPredict:
         verdict = predict(A, IterationConfig("gsor", m=m, omega=omega))
         assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == want
 
+    @pytest.mark.parametrize(
+        "config",
+        [IterationConfig("gj", m=1), IterationConfig("ggs", m=2),
+         IterationConfig("gsor", m=1, omega=0.8), IterationConfig("gsor", m=1, omega=1.5)],
+    )
+    def test_given_report_gives_the_same_verdict(self, config, spd3, lmat3):
+        for A in (assemble(8, "zero").A, assemble(8, "negexp4xy").A, spd3, lmat3):
+            assert predict(A, config, report=classify(A)) == predict(A, config)
+
     def test_rho_reported_above_spd_limit(self, spd3):
         problem = assemble(8, "zero")  # order 64: the ARPACK path
-        verdict = predict(problem.A, IterationConfig("ggs", m=1), dense_limit=10)
+        verdict = predict(
+            problem.A, IterationConfig("ggs", m=1),
+            report=classify(problem.A, dense_limit=10),
+        )
         want = spectral_radius(_explicit_h(problem.A, "ggs", 1))
         assert verdict.rho_estimate == pytest.approx(want, rel=1e-10)
         assert verdict.guaranteed
         assert verdict.predicted_converges is True
 
-        verdict = predict(spd3, IterationConfig("gj", m=1), dense_limit=2)
+        verdict = predict(
+            spd3, IterationConfig("gj", m=1), report=classify(spd3, dense_limit=2)
+        )
         assert verdict.rho_estimate == pytest.approx(1.5883, abs=5e-5)
         assert not verdict.guaranteed
         assert verdict.predicted_converges is False

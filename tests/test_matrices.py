@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import spsolve
 
+import gsolve.matrices
 from gsolve import (
     SquareMatrix,
     classify,
@@ -16,7 +21,8 @@ from gsolve import (
     is_spd,
     is_z_matrix,
 )
-from gsolve.pde import assemble
+from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
 
 
 @st.composite
@@ -275,8 +281,72 @@ class TestPredicates:
             oracle = bool(np.all(np.linalg.eigvalsh(sym) > 0))
             assert is_spd(A) == oracle
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_banded_cholesky_matches_dense(self, n, seed, definite, data):
+        kd = data.draw(st.integers(0, n - 1), label="kd")
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-1.0, 1.0, size=(n, n))
+        sym = np.triu(np.tril(base + base.T, kd), -kd)
+        # shift the spectrum so the smallest eigenvalue is +-[0.1, 1]
+        target = rng.uniform(0.1, 1.0) * (1.0 if definite else -1.0)
+        sym += (target - np.linalg.eigvalsh(sym)[0]) * np.eye(n)
+        try:
+            np.linalg.cholesky(sym)
+            dense_verdict = True
+        except np.linalg.LinAlgError:
+            dense_verdict = False
+
+        report = classify(SquareMatrix.from_dense(sym))
+        assert report.is_spd == dense_verdict == definite
+        if not definite:
+            assert report.spd_witness is None
+            return
+        band = report.spd_witness
+        assert band.shape == (kd + 1, n)
+        L = np.zeros((n, n))
+        for k in range(kd + 1):
+            L[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
+        assert np.abs(L @ L.T - sym).max() <= 1e-12 * np.linalg.norm(sym, 2)
+
+
+def _negative_diagonal_z_matrix(n, rng):
+    """A Z-matrix that is not an M-matrix although its comparison matrix is."""
+    a = random_m_matrix(n, rng).to_dense()
+    i = int(rng.integers(n))
+    a[i, i] = -a[i, i]
+    return SquareMatrix.from_dense(a)
+
 
 class TestClassify:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(
+            (random_sdd_matrix, random_m_matrix, random_h_matrix, _negative_diagonal_z_matrix)
+        ),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_h_verdict_matches_comparison_certificate(self, generator, n, seed):
+        A = generator(n, np.random.default_rng(seed))
+        report = classify(A)
+        want = is_m_matrix(comparison_matrix(A))[0]
+        assert report.is_h == is_h_matrix(A) == want
+        # every generator's comparison matrix is an M-matrix
+        assert report.is_h
+        if generator is _negative_diagonal_z_matrix:
+            assert report.is_z and not report.is_m
+
+    @pytest.mark.parametrize("g", sorted(G_BUILTINS))
+    def test_minimum_degree_witness_at_bench_n60(self, g):
+        A = assemble(60, g, layout=LAYOUT_BENCH).A
+        with mock.patch.object(gsolve.matrices, "spsolve", wraps=spsolve) as spy:
+            ok, w = is_m_matrix(A)
+        assert spy.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert ok and np.all(w > 0) and np.all(A.csr @ w > 0)
+        ref = spsolve(sp.csc_array(A.csr), np.ones(A.n), permc_spec="COLAMD")
+        np.testing.assert_allclose(w, ref / np.abs(ref).max(), rtol=0, atol=1e-10)
+
     def test_report_consistency(self, lmat3, spd3):
         for A in (lmat3, spd3, SquareMatrix.identity(4)):
             report = classify(A)
