@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,43 +123,26 @@ RUN_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    source: str
-    method: str
-    n: int
-    m: int
-    omega: float | None
-    iterations: int
-    converged: bool
-    final_diff_norm: float
-    final_error_norm: float | None
-    seconds: float
-    note: str
-
-    def row(self) -> list[str]:
-        return [_fmt(getattr(self, name)) for name in RUN_FIELDS]
-
-
-def _emit_records(records: list[RunRecord], fmt: str, out) -> None:
+def _emit_records(fields: tuple[str, ...], rows: list[tuple], fmt: str, out) -> None:
+    """Write rows of values, in ``fields`` order, as csv, jsonl or a markdown table."""
+    cells = [[_fmt(value) for value in row] for row in rows]
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(RUN_FIELDS)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerow(fields)
+        writer.writerows(cells)
     elif fmt == "jsonl":
-        for rec in records:
-            print(json.dumps(dict(zip(RUN_FIELDS, rec.row()))), file=out)
+        for row in cells:
+            print(json.dumps(dict(zip(fields, row))), file=out)
     else:  # markdown
-        print("| " + " | ".join(RUN_FIELDS) + " |", file=out)
-        print("|" + "---|" * len(RUN_FIELDS), file=out)
-        for rec in records:
-            print("| " + " | ".join(rec.row()) + " |", file=out)
+        print("| " + " | ".join(fields) + " |", file=out)
+        print("|" + "---|" * len(fields), file=out)
+        for row in cells:
+            print("| " + " | ".join(row) + " |", file=out)
 
 
 def _cmd_run(args, out) -> int:
     source, A, b, x_exact = _load_source(args)
-    records = []
+    rows = []
     failed = False
     for name in args.method.split(","):
         label, method, m, omega = _method_plan(name, args.m, args.omega)
@@ -171,42 +152,31 @@ def _cmd_run(args, out) -> int:
         try:
             report = solve(A, b, config, x_exact=x_exact)
         except FactorizationError as err:
-            records.append(
-                RunRecord(source, label, A.n, m, omega, 0, False,
-                          float("nan"), None, 0.0, f"factorization failed: {err}")
-            )
+            rows.append((source, label, A.n, m, omega, 0, False, float("nan"), None, 0.0,
+                         f"factorization failed: {err}"))
             failed = True
             continue
-        records.append(
-            RunRecord(
-                source=source,
-                method=label,
-                n=A.n,
-                m=m,
-                omega=omega,
-                iterations=report.iterations,
-                converged=report.converged,
-                final_diff_norm=report.final_diff_norm,
-                final_error_norm=report.final_error_norm,
-                seconds=round(report.elapsed_seconds, 2),
-                note=report.note,
-            )
-        )
+        rows.append((source, label, A.n, m, omega, report.iterations, report.converged,
+                     report.final_diff_norm, report.final_error_norm,
+                     round(report.elapsed_seconds, 2), report.note))
         failed = failed or not report.converged
-    _emit_records(records, args.format, out)
+    _emit_records(RUN_FIELDS, rows, args.format, out)
     return 1 if failed else 0
 
 
 # -- table ----------------------------------------------------------------
 
+TABLE_FIELDS = ("table", "g", "n", "method", "m", "omega", "iterations", "seconds", "converged")
+
 
 def _cmd_table(args, out) -> int:
     numbers = sorted(TABLE_G) if args.which == "all" else [int(args.which)]
+    markdown = args.format == "markdown"
     all_converged = True
-    csv_rows: list[list[str]] = []
+    rows = []
     for number in numbers:
         g_id = TABLE_G[number]
-        if args.format == "markdown":
+        if markdown:
             print(f"## Table {number}: g = {g_id} "
                   f"(m={args.m}, omega={args.omega}, tol={_fmt(args.tol)})", file=out)
             print("", file=out)
@@ -215,7 +185,7 @@ def _cmd_table(args, out) -> int:
             print("|" + "---:|" * len(header), file=out)
         for n in TABLE_SIZES:
             problem = assemble(n, g_id, layout=args.layout)
-            cells = []
+            reports = []
             for column in TABLE_COLUMNS:
                 _, method, m, omega = _method_plan(column, args.m, args.omega)
                 config = IterationConfig(
@@ -223,25 +193,16 @@ def _cmd_table(args, out) -> int:
                 )
                 report = solve(problem.A, problem.b, config, x_exact=problem.x_exact)
                 all_converged = all_converged and report.converged
-                cells.append((column, m, omega, report))
-            if args.format == "markdown":
-                shown = [f"{r.iterations}({r.elapsed_seconds:.2f})" for *_, r in cells]
+                reports.append(report)
+                rows.append((number, g_id, n, column, m, omega, report.iterations,
+                             round(report.elapsed_seconds, 2), report.converged))
+            if markdown:
+                shown = [f"{r.iterations}({r.elapsed_seconds:.2f})" for r in reports]
                 print(f"| {n} | " + " | ".join(shown) + " |", file=out)
-            else:
-                for column, m, omega, report in cells:
-                    csv_rows.append([
-                        str(number), g_id, str(n), column, str(m), _fmt(omega),
-                        str(report.iterations), _fmt(round(report.elapsed_seconds, 2)),
-                        _fmt(report.converged),
-                    ])
-        if args.format == "markdown":
+        if markdown:
             print("", file=out)
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ("table", "g", "n", "method", "m", "omega", "iterations", "seconds", "converged")
-        )
-        writer.writerows(csv_rows)
+    if not markdown:
+        _emit_records(TABLE_FIELDS, rows, args.format, out)
     return 0 if all_converged else 1
 
 
@@ -254,7 +215,7 @@ def _tristate(value: bool | None) -> str:
 
 def _cmd_classify(args, out) -> int:
     source, A, _, _ = _load_source(args)
-    report = classify(A, dense_limit=args.dense_limit)
+    report = classify(A)
     print(f"source: {source} (order {A.n})", file=out)
     for name, value in (
         ("sdd", report.is_sdd), ("z", report.is_z), ("l", report.is_l),
@@ -291,11 +252,11 @@ def _cmd_rho(args, out) -> int:
             file=out,
         )
         return 0
-    if A.n > args.dense_limit:
+    if A.n > DEFAULT_DENSE_LIMIT:
         raise CliError(
-            f"order {A.n} exceeds dense limit {args.dense_limit}; rerun with --power"
+            f"order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; rerun with --power"
         )
-    value = spectral_radius(iteration_matrix(op, args.dense_limit))
+    value = spectral_radius(iteration_matrix(op))
     print(f"rho: {value:.6g} mode=dense reliable=yes", file=out)
     return 0
 
@@ -324,7 +285,7 @@ def _cmd_export(args, out) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _build_parser(dense_limit_default: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsolve",
         description="Banded-splitting stationary solvers (GJ/GGS/GSOR): "
@@ -332,14 +293,13 @@ def _build_parser(dense_limit_default: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_iteration(p, default_format=None):
+    def common_iteration(p, default_format):
         p.add_argument("--m", type=int, default=1, help="half-bandwidth (default 1)")
         p.add_argument("--omega", type=float, default=None, help="relaxation factor")
         p.add_argument("--tol", type=float, default=1e-7, help="stopping tolerance")
         p.add_argument("--max-iter", type=int, default=10000, help="iteration cap")
-        if default_format:
-            p.add_argument("--format", choices=("csv", "markdown", "jsonl"),
-                           default=default_format)
+        p.add_argument("--format", choices=("csv", "markdown", "jsonl"),
+                       default=default_format)
 
     p_run = sub.add_parser("run", help="solve one system with one or more methods")
     _add_source_arguments(p_run)
@@ -350,11 +310,8 @@ def _build_parser(dense_limit_default: int) -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="reproduce the benchmark iteration tables")
     p_table.add_argument("which", choices=("1", "2", "3", "4", "all"))
     p_table.add_argument("--layout", choices=LAYOUTS, default=LAYOUT_BENCH)
-    p_table.add_argument("--m", type=int, default=1)
-    p_table.add_argument("--omega", type=float, default=1.5)
-    p_table.add_argument("--tol", type=float, default=1e-7)
-    p_table.add_argument("--max-iter", type=int, default=10000)
-    p_table.add_argument("--format", choices=("markdown", "csv"), default="markdown")
+    common_iteration(p_table, default_format="markdown")
+    p_table.set_defaults(omega=1.5)
 
     p_cls = sub.add_parser("classify", help="matrix-class certification report")
     _add_source_arguments(p_cls)
@@ -362,7 +319,6 @@ def _build_parser(dense_limit_default: int) -> argparse.ArgumentParser:
                        help="also predict convergence for gj/ggs/sor/gsor")
     p_cls.add_argument("--m", type=int, default=1)
     p_cls.add_argument("--omega", type=float, default=None)
-    p_cls.add_argument("--dense-limit", type=int, default=dense_limit_default)
 
     p_rho = sub.add_parser("rho", help="spectral radius of an iteration matrix")
     _add_source_arguments(p_rho)
@@ -372,7 +328,6 @@ def _build_parser(dense_limit_default: int) -> argparse.ArgumentParser:
     p_rho.add_argument("--power", action="store_true",
                        help="ARPACK on the implicit operator instead of dense eigenvalues")
     p_rho.add_argument("--seed", type=int, default=None, help="start-vector seed for --power")
-    p_rho.add_argument("--dense-limit", type=int, default=dense_limit_default)
 
     p_exp = sub.add_parser(
         "export",
@@ -402,22 +357,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    dense_limit_default = DEFAULT_DENSE_LIMIT
-    env_limit = os.environ.get("GSOLVE_DENSE_LIMIT")
-    if env_limit:
+    args = _build_parser().parse_args(argv)
+    # The filter is scoped to this call, so in-process callers keep their own.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("once", category=RelaxationWarning)
         try:
-            dense_limit_default = int(env_limit)
-        except ValueError:
-            print(f"gsolve: ignoring non-integer GSOLVE_DENSE_LIMIT={env_limit!r}",
-                  file=sys.stderr)
-    parser = _build_parser(dense_limit_default)
-    args = parser.parse_args(argv)
-    warnings.filterwarnings("once", category=RelaxationWarning)
-    try:
-        return _COMMANDS[args.command](args, sys.stdout)
-    except (CliError, ValueError, FactorizationError) as err:
-        print(f"gsolve: {err}", file=sys.stderr)
-        return 2
+            return _COMMANDS[args.command](args, sys.stdout)
+        except (CliError, ValueError, FactorizationError) as err:
+            print(f"gsolve: {err}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

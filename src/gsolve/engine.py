@@ -254,7 +254,7 @@ def predict(
     an M-matrix also converges under overrelaxed GSOR whenever
     omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
     ``report`` is A's :func:`classify` report when the caller already has
-    it; without one, A is classified here with the default dense limit.
+    it; without one, A is classified here.  The SPD verdict plays no part.
     """
     if report is None:
         report = classify(A)

@@ -14,8 +14,7 @@ from .matrices import SquareMatrix
 def spd_3x3() -> SquareMatrix:
     """Symmetric positive definite; GJ and GGS diverge for m = 1."""
     return SquareMatrix.from_dense(
-        [[410.0, -195.0, -90.0], [-195.0, 151.0, 112.0], [-90.0, 112.0, 132.0]],
-        symmetry_hint=True,
+        [[410.0, -195.0, -90.0], [-195.0, 151.0, 112.0], [-90.0, 112.0, 132.0]]
     )
 
 
@@ -34,6 +33,5 @@ def spd_4x4() -> SquareMatrix:
             [1.0, 5.0, 3.0, 2.0],
             [4.0, 3.0, 5.0, 4.0],
             [2.0, 2.0, 4.0, 5.0],
-        ],
-        symmetry_hint=True,
+        ]
     )

@@ -17,10 +17,11 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-#: Largest order for the SPD test of :func:`classify`, a banded Cholesky whose
-#: (kd + 1) * n band storage reaches n^2 when an entry lies far from the
+#: Fixed largest order for the SPD test of :func:`classify`, a banded Cholesky
+#: whose (kd + 1) * n band storage reaches n^2 when an entry lies far from the
 #: diagonal, and for an explicit iteration matrix (``iteration_matrix``, the
-#: CLI's dense ``rho``).
+#: CLI's dense ``rho``).  Above it, ``classify`` reports SPD as undetermined
+#: and ``rho`` needs ``--power``.
 DEFAULT_DENSE_LIMIT = 2000
 
 #: Smallest admissible component of an M-matrix witness after scaling the
@@ -42,48 +43,44 @@ def _canonical(mat) -> sp.csr_array:
 class SquareMatrix:
     """Real n-by-n matrix in sparse CSR form.
 
-    Stored entries are finite, nonzero and unique per coordinate; duplicate
-    coordinates passed to a constructor are summed (Matrix Market
-    convention), and NaN or infinite entries are rejected.
-    ``symmetry_hint`` records how the matrix was declared in its source
-    file, if any; it is advisory and never trusted by the symmetry checks.
+    The order is positive.  Stored entries are finite, nonzero and unique
+    per coordinate; duplicate coordinates passed to a constructor are summed
+    (Matrix Market convention), and NaN or infinite entries are rejected.
     """
 
     n: int
     csr: sp.csr_array
-    symmetry_hint: bool | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"order must be positive, got {self.n}")
         if not np.all(np.isfinite(self.csr.data)):
             raise ValueError("matrix entries must be finite, got NaN or inf")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_csr(cls, mat, symmetry_hint: bool | None = None) -> "SquareMatrix":
+    def from_csr(cls, mat) -> "SquareMatrix":
         csr = _canonical(mat)
         rows, cols = csr.shape
         if rows != cols:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        return cls(rows, csr, symmetry_hint)
+        return cls(rows, csr)
 
     @classmethod
-    def from_dense(cls, arr, symmetry_hint: bool | None = None) -> "SquareMatrix":
+    def from_dense(cls, arr) -> "SquareMatrix":
         dense = np.asarray(arr, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"matrix must be square, got shape {dense.shape}")
-        return cls.from_csr(sp.csr_array(dense), symmetry_hint)
+        return cls.from_csr(sp.csr_array(dense))
 
     @classmethod
     def from_entries(
         cls,
         n: int,
         entries: Iterable[tuple[int, int, float]],
-        symmetry_hint: bool | None = None,
     ) -> "SquareMatrix":
         """Build from 1-based (row, col, value) triples; duplicates are summed."""
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
         rows, cols, vals = [], [], []
         for i, j, v in entries:
             if not (1 <= i <= n and 1 <= j <= n):
@@ -92,11 +89,11 @@ class SquareMatrix:
             cols.append(j - 1)
             vals.append(v)
         coo = sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
-        return cls(n, _canonical(coo), symmetry_hint)
+        return cls(n, _canonical(coo))
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls.from_csr(sp.eye_array(n, format="csr"), symmetry_hint=True)
+        return cls.from_csr(sp.eye_array(n, format="csr"))
 
     # -- queries ------------------------------------------------------
 
@@ -121,7 +118,7 @@ class SquareMatrix:
         return self.csr.toarray()
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(self.n, _canonical(self.csr.T), self.symmetry_hint)
+        return SquareMatrix(self.n, _canonical(self.csr.T))
 
     def same_entries(self, other: "SquareMatrix") -> bool:
         """Exact equality of stored values (bitwise, no tolerance)."""
@@ -135,7 +132,7 @@ class SquareMatrix:
         )
 
     def is_symmetric(self) -> bool:
-        """Exact symmetry of stored entries, ignoring ``symmetry_hint``."""
+        """Exact symmetry of stored entries, without tolerance."""
         return _canonical(self.csr - self.csr.T).nnz == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -330,8 +327,9 @@ def is_spd(A: SquareMatrix) -> bool:
 class ClassificationReport:
     """Class memberships with certification witnesses.
 
-    ``is_spd`` is ``None`` (undetermined) when the order exceeds the dense
-    limit; the scan- and solve-based predicates are always decided.
+    ``is_spd`` is ``None`` (undetermined) when the order exceeds
+    ``DEFAULT_DENSE_LIMIT``; the scan- and solve-based predicates are always
+    decided.
     ``spd_witness`` is the Cholesky factor in LAPACK lower band storage,
     shape (kd + 1, n) with kd the half-bandwidth: ``L[j + k, j]`` is
     ``spd_witness[k, j]``.
@@ -348,10 +346,11 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
 
-def classify(
-    A: SquareMatrix, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> ClassificationReport:
-    """Run every class predicate and collect witnesses and notes."""
+def classify(A: SquareMatrix) -> ClassificationReport:
+    """Run every class predicate and collect witnesses and notes.
+
+    The SPD test runs up to order ``DEFAULT_DENSE_LIMIT``.
+    """
     notes: list[str] = []
     sdd = is_sdd(A)
     z = is_z_matrix(A)
@@ -366,12 +365,14 @@ def classify(
 
     spd: bool | None
     spd_witness: np.ndarray | None
-    if A.n <= dense_limit:
+    if A.n <= DEFAULT_DENSE_LIMIT:
         spd_witness = _spd_factor(A)
         spd = spd_witness is not None
     else:
         spd, spd_witness = None, None
-        notes.append(f"spd: undetermined, order {A.n} exceeds dense limit {dense_limit}")
+        notes.append(
+            f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
+        )
 
     if sdd and not h_ok:
         notes.append("cross-check violated: SDD matrix failed H certification")

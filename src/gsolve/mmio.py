@@ -18,14 +18,14 @@ def read_matrix(path: str | Path) -> SquareMatrix:
     array files; duplicate coordinates are summed.
     """
     path = Path(path)
-    _, _, _, _, field, symmetry = scipy.io.mminfo(path)
+    field = scipy.io.mminfo(path)[4]
     if field not in ("real", "integer", "pattern"):
         raise ValueError(f"{path}: unsupported field {field!r}, need real data")
     mat = scipy.io.mmread(path)
     mat = sp.csr_array(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    return SquareMatrix.from_csr(mat, symmetry_hint=(symmetry == "symmetric"))
+    return SquareMatrix.from_csr(mat)
 
 
 def write_matrix(

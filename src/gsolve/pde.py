@@ -64,7 +64,8 @@ def assemble(
     """Assemble the benchmark system of size parameter n.
 
     ``g`` is a builtin name (xplusy, zero, expxy, negexp4xy) or any callable
-    of (x, y).  See the module docstring for the two layouts.
+    of (x, y); one that does not take arrays is evaluated point by point.
+    See the module docstring for the two layouts.
     """
     if n < 2:
         raise ValueError(f"grid parameter n must be >= 2, got {n}")
@@ -91,8 +92,11 @@ def assemble(
     point_y = np.arange(1, ny + 1) * h
 
     grid_x, grid_y = np.meshgrid(line_x, point_y, indexing="ij")
-    g_vals = np.asarray(g_fn(grid_x, grid_y), dtype=np.float64)
-    if g_vals.shape != grid_x.shape:  # non-vectorized callable
+    try:
+        g_vals = np.asarray(g_fn(grid_x, grid_y), dtype=np.float64)
+    except (TypeError, ValueError):  # a callable of scalars only
+        g_vals = None
+    if g_vals is None or g_vals.shape != grid_x.shape:
         g_vals = np.array(
             [[g_fn(xv, yv) for yv in point_y] for xv in line_x], dtype=np.float64
         )
@@ -107,7 +111,7 @@ def assemble(
         offsets=[0, -1, 1, -ny, ny],
         format="csr",
     )
-    A = SquareMatrix.from_csr(mat, symmetry_hint=True)
+    A = SquareMatrix.from_csr(mat)
     x_exact = np.ones(size)
     return PdeProblem(
         n=n,

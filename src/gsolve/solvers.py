@@ -145,17 +145,15 @@ def build_step(
     )
 
 
-def iteration_matrix(
-    op: StepOperator, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> np.ndarray:
+def iteration_matrix(op: StepOperator) -> np.ndarray:
     """Explicit dense H = M^{-1} N, column by column through the prepared solve.
 
-    Refuses orders above ``dense_limit``; use power-mode spectral estimation
-    on the operator instead for large systems.
+    Refuses orders above ``DEFAULT_DENSE_LIMIT``; use power-mode spectral
+    estimation on the operator instead for large systems.
     """
-    if op.n > dense_limit:
+    if op.n > DEFAULT_DENSE_LIMIT:
         raise ValueError(
-            f"order {op.n} exceeds dense limit {dense_limit}; "
+            f"order {op.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; "
             "use spectral_radius(op, mode='power') instead"
         )
     return op.lu.solve(op.n_part.toarray())

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,19 @@ class TestTable:
         _, second, _ = run_cli(capsys, "table", "1", "--format", "csv")
         assert strip_timings(first) == strip_timings(second)
 
+    def test_jsonl_has_the_csv_columns_and_values(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "3", "--format", "jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        _, csv_out, _ = run_cli(capsys, "table", "3", "--format", "csv")
+        rows = parse_csv(csv_out)
+        assert len(records) == 12
+        header = csv_out.splitlines()[0].split(",")
+        assert all(list(record) == header for record in records)
+        assert [{k: v for k, v in r.items() if k != "seconds"} for r in records] == [
+            {k: v for k, v in r.items() if k != "seconds"} for r in rows
+        ]
+
 
 #: Output of ``classify --pde g=zero n=40 --predict gsor --m 1 --omega 1.5``
 #: as recorded from the dense-Cholesky, COLAMD-ordered witness implementation.
@@ -290,13 +304,12 @@ class TestClassify:
             else:
                 assert got_line == want_line
 
-    def test_spd_undetermined_above_dense_limit(self, capsys, fixtures_dir):
-        code, out, _ = run_cli(
-            capsys, "classify", "--mtx", str(fixtures_dir / "spd4.mtx"),
-            "--dense-limit", "2",
-        )
+    def test_spd_undetermined_above_dense_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--pde", "g=zero", "n=46")
         assert code == 0
+        assert "(order 2070)" in out
         assert "spd: undetermined" in out
+        assert "note: spd: undetermined, order 2070 exceeds dense limit 2000" in out
 
 
 class TestRho:
@@ -337,20 +350,10 @@ class TestRho:
         assert out.startswith("rho: 2.8689")
 
     def test_dense_limit_error_suggests_power(self, capsys):
-        code, _, err = run_cli(
-            capsys, "rho", "--pde", "g=zero", "n=10", "--method", "gj",
-            "--dense-limit", "50",
-        )
+        code, _, err = run_cli(capsys, "rho", "--pde", "g=zero", "n=46", "--method", "gj")
         assert code == 2
+        assert "order 2070 exceeds dense limit 2000" in err
         assert "--power" in err
-
-    def test_env_var_dense_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("GSOLVE_DENSE_LIMIT", "50")
-        code, _, err = run_cli(
-            capsys, "rho", "--pde", "g=zero", "n=10", "--method", "gj"
-        )
-        assert code == 2
-        assert "exceeds dense limit 50" in err
 
     def test_half_bandwidth_beyond_order_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -415,3 +418,35 @@ class TestExport:
         assert read_matrix(matrix_path).same_entries(problem.A)
         np.testing.assert_array_equal(read_vector(rhs_path), problem.b)
         np.testing.assert_array_equal(read_vector(exact_path), problem.x_exact)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["run", "--method", "gj"],
+    ["rho", "--method", "gj"],
+    ["export", "--what", "matrix", "-o", "unused.mtx"],
+])
+def test_order_zero_file_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+    code, out, err = run_cli(capsys, argv[0], "--mtx", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "order must be positive, got 0" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "rho"])
+def test_no_dense_limit_option(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--dense-limit" not in capsys.readouterr().out
+
+
+def test_main_leaves_the_warning_filters_as_it_found_them(capsys, fixtures_dir):
+    before = list(warnings.filters)
+    code, _, _ = run_cli(
+        capsys, "rho", "--mtx", str(fixtures_dir / "identity3.mtx"),
+        "--method", "sor", "--omega", "1.5",
+    )
+    assert code == 0
+    assert warnings.filters == before

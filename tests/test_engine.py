@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -326,19 +327,19 @@ class TestPredict:
             assert predict(A, config, report=classify(A)) == predict(A, config)
 
     def test_rho_reported_above_spd_limit(self, spd3):
+        def spd_undetermined(A):
+            return dataclasses.replace(classify(A), is_spd=None, spd_witness=None)
+
         problem = assemble(8, "zero")  # order 64: the ARPACK path
         verdict = predict(
-            problem.A, IterationConfig("ggs", m=1),
-            report=classify(problem.A, dense_limit=10),
+            problem.A, IterationConfig("ggs", m=1), report=spd_undetermined(problem.A)
         )
         want = spectral_radius(_explicit_h(problem.A, "ggs", 1))
         assert verdict.rho_estimate == pytest.approx(want, rel=1e-10)
         assert verdict.guaranteed
         assert verdict.predicted_converges is True
 
-        verdict = predict(
-            spd3, IterationConfig("gj", m=1), report=classify(spd3, dense_limit=2)
-        )
+        verdict = predict(spd3, IterationConfig("gj", m=1), report=spd_undetermined(spd3))
         assert verdict.rho_estimate == pytest.approx(1.5883, abs=5e-5)
         assert not verdict.guaranteed
         assert verdict.predicted_converges is False

@@ -85,6 +85,16 @@ class TestSquareMatrix:
         with pytest.raises(ValueError):
             SquareMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
+    def test_order_zero_rejected_by_every_constructor(self):
+        for build in (
+            lambda: SquareMatrix.from_csr(sp.csr_array((0, 0))),
+            lambda: SquareMatrix.from_dense(np.zeros((0, 0))),
+            lambda: SquareMatrix.from_entries(0, []),
+            lambda: SquareMatrix(0, sp.csr_array((0, 0))),
+        ):
+            with pytest.raises(ValueError, match="order must be positive, got 0"):
+                build()
+
     def test_same_entries_and_transpose(self):
         A = SquareMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
         assert A.same_entries(A)
@@ -363,7 +373,8 @@ class TestClassify:
         assert report.is_sdd and report.is_z and report.is_l
         assert report.is_m and report.is_h and report.is_spd
 
-    def test_spd_undetermined_above_dense_limit(self, spd4):
-        report = classify(spd4, dense_limit=2)
-        assert report.is_spd is None
+    def test_spd_undetermined_above_dense_limit(self):
+        A = assemble(46, "zero", layout=LAYOUT_BENCH).A  # order 2070
+        report = classify(A)
+        assert report.is_m and report.is_spd is None
         assert any("dense limit" in note for note in report.notes)

@@ -10,7 +10,6 @@ def test_round_trip_general(tmp_path, lmat3):
     write_matrix(path, lmat3)
     back = read_matrix(path)
     assert back.same_entries(lmat3)
-    assert back.symmetry_hint is False
 
 
 def test_round_trip_symmetric(tmp_path, spd3):
@@ -20,7 +19,6 @@ def test_round_trip_symmetric(tmp_path, spd3):
     assert text.startswith("%%MatrixMarket matrix coordinate real symmetric")
     back = read_matrix(path)
     assert back.same_entries(spd3)
-    assert back.symmetry_hint is True
 
 
 def test_indices_are_one_based_in_file(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,17 @@ def test_callable_reaction_coefficient():
     assert problem.g_id == "ramp"
     h = problem.h
     assert problem.A.entry(1, 1) == pytest.approx(4.0 + h * h * 3.0 * h, rel=1e-15)
+
+
+@pytest.mark.parametrize("layout", [LAYOUT_SQUARE, LAYOUT_BENCH])
+@pytest.mark.parametrize("scalar_g, array_g", [
+    (lambda x, y: math.exp(x * y), lambda x, y: np.exp(x * y)),
+    (lambda x, y: x if x > y else y, np.maximum),
+])
+def test_scalar_only_callable_is_evaluated_per_point(layout, scalar_g, array_g):
+    got = assemble(7, scalar_g, layout=layout).A
+    want = assemble(7, array_g, layout=layout).A
+    assert got.same_entries(want)
 
 
 def test_invalid_parameters():

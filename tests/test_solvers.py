@@ -193,10 +193,11 @@ class TestIterationMatrix:
         b = spd3.to_dense() @ np.ones(3)
         np.testing.assert_allclose(op.apply(np.zeros(3), b), np.ones(3), rtol=1e-12)
 
-    def test_dense_limit_enforced(self, spd4):
-        op = build_step(extract_splitting(spd4, 1), "gj")
+    def test_dense_limit_enforced(self):
+        A = assemble(46, "zero", layout=LAYOUT_BENCH).A  # order 2070
+        op = build_step(extract_splitting(A, 1), "gj")
         with pytest.raises(ValueError, match="power"):
-            iteration_matrix(op, dense_limit=3)
+            iteration_matrix(op)
 
     def test_reduction_to_classical_methods_at_m_zero(self):
         rng = np.random.default_rng(10)
