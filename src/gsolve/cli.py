@@ -158,7 +158,7 @@ def _cmd_run(args, out) -> int:
             continue
         rows.append((source, label, A.n, m, omega, report.iterations, report.converged,
                      report.final_diff_norm, report.final_error_norm,
-                     round(report.elapsed_seconds, 2), report.note))
+                     report.elapsed_seconds, report.note))
         failed = failed or not report.converged
     _emit_records(RUN_FIELDS, rows, args.format, out)
     return 1 if failed else 0
@@ -195,7 +195,7 @@ def _cmd_table(args, out) -> int:
                 all_converged = all_converged and report.converged
                 reports.append(report)
                 rows.append((number, g_id, n, column, m, omega, report.iterations,
-                             round(report.elapsed_seconds, 2), report.converged))
+                             report.elapsed_seconds, report.converged))
             if markdown:
                 shown = [f"{r.iterations}({r.elapsed_seconds:.2f})" for r in reports]
                 print(f"| {n} | " + " | ".join(shown) + " |", file=out)

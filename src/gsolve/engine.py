@@ -10,6 +10,7 @@ theorem by M-matrix certificates, which need no eigenvalues.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -107,9 +108,12 @@ def solve(
     iterations = 0
 
     start = time.perf_counter()
+    c = op.rhs_scale * b
     for k in range(1, config.max_iter + 1):
-        x_next = op.apply(x, b)
-        diff = float(np.linalg.norm(x_next - x))
+        x_next = op.step(x, c)
+        d = x_next - x
+        # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
+        diff = math.sqrt(d @ d)
         x = x_next
         iterations = k
         if first_diff is None:
@@ -117,7 +121,7 @@ def solve(
         if diff <= config.tol:
             converged = True
             break
-        if not np.isfinite(diff) or diff > DIVERGENCE_GUARD * first_diff:
+        if not math.isfinite(diff) or diff > DIVERGENCE_GUARD * first_diff:
             note = "diverged"
             break
     elapsed = time.perf_counter() - start

@@ -9,12 +9,16 @@ differ only in how the parts are assigned to the M/N pair:
 * GSOR: M = band - omega*lower,  N = (1-omega)*band + omega*upper,
         a splitting of omega*A; the right-hand side is scaled by omega.
 
-Each operator factorizes its M part once (sparse LU with partial pivoting)
-and then applies the update x -> M^{-1}(N x + c b) any number of times.
-The column ordering is chosen from the structure of M: natural order where
-it adds no fill, minimum degree on M^T + M where it would fill the lower
-envelope (see :func:`build_step`).  At m = 0 the methods reduce to
-classical Jacobi, Gauss-Seidel, and SOR.
+Each operator factorizes its M part once and then applies the update
+x -> M^{-1}(N x + c b) any number of times.  An SPD tridiagonal M (GJ at
+m <= 1 on a symmetric M-matrix, say) gets an LDL^T factor without
+pivoting, LAPACK pttrf/pttrs, which is backward stable on such matrices
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+2002, ch. 9).  Every other M gets a sparse LU with partial pivoting
+(SuperLU), whose column ordering is chosen from the structure of M:
+natural order where it adds no fill, minimum degree on M^T + M where it
+would fill the lower envelope (see :func:`build_step`).  At m = 0 the
+methods reduce to classical Jacobi, Gauss-Seidel, and SOR.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import SuperLU, splu
 
 from .matrices import DEFAULT_DENSE_LIMIT, BandedSplitting
@@ -54,12 +59,54 @@ class RelaxationWarning(UserWarning):
     """Relaxation factor outside the range covered by a convergence theorem."""
 
 
+class TridiagonalLDLT:
+    """LDL^T factor of an SPD tridiagonal matrix, with SuperLU's solve/L/U surface.
+
+    ``d`` and ``e`` are LAPACK pttrf's output: the diagonal of D and the
+    subdiagonal of the unit lower bidiagonal L.
+    """
+
+    def __init__(self, d: np.ndarray, e: np.ndarray) -> None:
+        self.d, self.e = d, e
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """M^{-1} v for a vector or for matrix columns; v is not modified."""
+        return dpttrs(self.d, self.e, v)[0]
+
+    # Built when read; the conversion from DIA format drops zero entries.
+    @property
+    def L(self) -> sp.csc_array:
+        return sp.csc_array(sp.diags_array([self.e, np.ones(self.d.size)], offsets=[-1, 0]))
+
+    @property
+    def U(self) -> sp.csc_array:
+        """D L^T, the upper factor of M = L (D L^T)."""
+        return sp.csc_array(sp.diags_array([self.d, self.d[:-1] * self.e], offsets=[0, 1]))
+
+
+def _spd_tridiagonal_factor(m_part: sp.csr_array) -> TridiagonalLDLT | None:
+    """The LDL^T factor of M when M is tridiagonal, symmetric and SPD, else None."""
+    n = m_part.shape[0]
+    if n < 2:
+        return None
+    rows = np.repeat(np.arange(n), np.diff(m_part.indptr))
+    if np.any(np.abs(m_part.indices - rows) > 1):
+        return None
+    e = m_part.diagonal(1)
+    if not np.array_equal(m_part.diagonal(-1), e):
+        return None
+    # For a symmetric tridiagonal M, pttrf succeeds (all pivots > 0) iff M is SPD.
+    d, e, info = dpttrf(m_part.diagonal(), e)
+    return TridiagonalLDLT(d, e) if info == 0 else None
+
+
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Prepared single-step update for one (method, splitting, omega) triple.
 
-    Immutable after construction; the LU factors are read-only, so
-    concurrent :meth:`apply` calls on one operator are safe.
+    ``lu`` is the factor of M: :class:`TridiagonalLDLT` or SuperLU (see
+    :func:`build_step`).  Immutable after construction; the factor is
+    read-only, so concurrent :meth:`apply` calls on one operator are safe.
     """
 
     method: Method
@@ -68,11 +115,15 @@ class StepOperator:
     m_part: sp.csr_array
     n_part: sp.csr_array
     rhs_scale: float
-    lu: SuperLU
+    lu: TridiagonalLDLT | SuperLU
 
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
         return self.lu.solve(v)
+
+    def step(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Unchecked update M^{-1}(N x + c), with c = rhs_scale * b."""
+        return self.lu.solve(self.n_part @ x + c)
 
     def apply(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """One update x -> M^{-1}(N x + c b); the input x is not modified."""
@@ -82,7 +133,7 @@ class StepOperator:
             raise ValueError(f"x has shape {x.shape}, expected ({self.n},)")
         if b.shape != (self.n,):
             raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        return self.lu.solve(self.n_part @ x + self.rhs_scale * b)
+        return self.step(x, self.rhs_scale * b)
 
 
 def build_step(
@@ -91,6 +142,14 @@ def build_step(
     omega: float | None = None,
 ) -> StepOperator:
     """Assemble M and N for the method and factorize M once.
+
+    M is factorized by LAPACK pttrf (LDL^T, no pivoting) when its order is at
+    least 2, every stored entry lies within |i - j| <= 1, its sub- and
+    superdiagonals are equal, and pttrf finds every pivot positive, i.e. M
+    is SPD.  Every other M goes to SuperLU: natural column order, except for
+    GGS/GSOR at m > 0 with a nonempty lower part, whose M would fill its lower
+    envelope and gets a minimum-degree order on M^T + M.  A singular M raises
+    :class:`FactorizationError`.
 
     GSOR requires a finite omega != 0.  Any omega in (0, 1] is covered by
     at least one convergence theorem for suitable matrix classes; other
@@ -123,16 +182,18 @@ def build_step(
             m_part, n_part = sp.csr_array(band - lower), upper
         rhs_scale = 1.0
 
-    fills = method is not Method.GJ and splitting.m > 0 and lower.nnz > 0
-    try:
-        lu = splu(
-            sp.csc_matrix(m_part),
-            permc_spec="MMD_AT_PLUS_A" if fills else "NATURAL",
-        )
-    except (RuntimeError, ValueError) as err:
-        raise FactorizationError(
-            f"M part is singular for method={method.value}, m={splitting.m}: {err}"
-        ) from err
+    lu = _spd_tridiagonal_factor(m_part)
+    if lu is None:
+        fills = method is not Method.GJ and splitting.m > 0 and lower.nnz > 0
+        try:
+            lu = splu(
+                sp.csc_matrix(m_part),
+                permc_spec="MMD_AT_PLUS_A" if fills else "NATURAL",
+            )
+        except (RuntimeError, ValueError) as err:
+            raise FactorizationError(
+                f"M part is singular for method={method.value}, m={splitting.m}: {err}"
+            ) from err
 
     return StepOperator(
         method=method,

@@ -194,6 +194,15 @@ class TestTable:
         cell = next(r for r in rows if r["n"] == "20" and r["method"] == "gsor")
         assert int(cell["iterations"]) == 104
 
+    def test_seconds_are_written_unrounded(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "3", "--format", "csv")
+        assert code == 0
+        seconds = [float(row["seconds"]) for row in parse_csv(out)]
+        assert len(seconds) == 12
+        assert all(s >= 0.0 for s in seconds)
+        # Rounded to 2 d.p., most of these short solves would read 0.0.
+        assert any(s != round(s, 2) for s in seconds)
+
     def test_counts_are_deterministic_across_runs(self, capsys):
         def strip_timings(text):
             return [

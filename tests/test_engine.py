@@ -91,6 +91,31 @@ class TestSolve:
         assert report.final_error_norm is not None
         assert report.final_error_norm < 1e-4
 
+    @pytest.mark.parametrize("method, m, omega", [
+        ("gj", 1, None), ("ggs", 1, None), ("gsor", 0, 1.5), ("gsor", 1, 1.5),
+    ])
+    def test_loop_is_bitwise_the_apply_loop(self, method, m, omega):
+        # The solve loop's unchecked step and norm reproduce, bit for bit, a
+        # loop of the checked op.apply stopped by np.linalg.norm.
+        problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)
+        A, b = problem.A, problem.b
+        config = IterationConfig(method, m=m, omega=omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RelaxationWarning)
+            report = solve(A, b, config)
+            op = build_step(extract_splitting(A, m), method, omega)
+        x = np.zeros(A.n)
+        for k in range(1, config.max_iter + 1):
+            x_next = op.apply(x, b)
+            diff = np.linalg.norm(x_next - x)
+            x = x_next
+            if diff <= config.tol:
+                break
+        assert report.converged
+        assert report.iterations == k
+        assert report.final_diff_norm == diff
+        np.testing.assert_array_equal(report.solution, x)
+
     def test_divergence_guard_trips_early(self, spd3):
         b = spd3.to_dense() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("ggs", m=1))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from gsolve import (
     FactorizationError,
@@ -21,6 +21,7 @@ from gsolve import (
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
+from gsolve.solvers import TridiagonalLDLT
 
 
 def random_strong_diag(rng, n):
@@ -232,21 +233,91 @@ class TestIterationMatrix:
                 assert rho >= abs(omega - 1.0) - 1e-12
 
 
-def test_concurrent_apply_is_safe():
+@pytest.mark.parametrize("method, m, symmetric, factor", [
+    ("ggs", 3, False, SuperLU),
+    ("gj", 1, True, TridiagonalLDLT),
+], ids=["ggs-superlu", "gj-ldlt"])
+def test_concurrent_apply_is_safe(method, m, symmetric, factor):
     # the prepared factorization is read-only; parallel apply calls on one
-    # operator must give the same iterates as a sequential run
+    # operator must give the same iterates as a sequential run and leave
+    # the callers' vectors as they were
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(14)
-    A = SquareMatrix.from_dense(random_strong_diag(rng, 40))
-    op = build_step(extract_splitting(A, 3), "ggs")
+    dense = random_strong_diag(rng, 40)
+    if symmetric:  # symmetric SDD with positive diagonal
+        dense = dense + dense.T
+        np.fill_diagonal(dense, 0.0)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+    op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), method)
+    assert isinstance(op.lu, factor)
     b = rng.normal(size=40)
     starts = [rng.normal(size=40) for _ in range(32)]
+    copies = [x.copy() for x in starts]
     sequential = [op.apply(x, b) for x in starts]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda x: op.apply(x, b), starts))
+        solved = list(pool.map(op.solve_m, starts))
     for got, want in zip(threaded, sequential):
         np.testing.assert_array_equal(got, want)
+    for x, copy in zip(starts, copies):
+        np.testing.assert_array_equal(x, copy)
+    for x, got in zip(starts, solved):
+        np.testing.assert_array_equal(got, op.solve_m(x))
+
+
+def random_spd_tridiagonal(rng, n):
+    """Random symmetric, strictly diagonally dominant tridiagonal matrix with positive diagonal."""
+    e = rng.uniform(-1.0, 1.0, size=n - 1)
+    margin = np.abs(np.concatenate([e, [0.0]])) + np.abs(np.concatenate([[0.0], e]))
+    d = margin + rng.uniform(0.01, 2.0, size=n)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestTridiagonalFactor:
+    """An SPD tridiagonal M is factorized as LDL^T; every other M by SuperLU."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    def test_solve_m_matches_dense_solve(self, n, seed):
+        rng = np.random.default_rng(seed)
+        dense_m = random_spd_tridiagonal(rng, n)
+        # entries outside the band go to N and leave M as it is
+        far = np.triu(rng.uniform(-0.1, 0.1, size=(n, n)), 2)
+        op = build_step(extract_splitting(SquareMatrix.from_dense(dense_m + far + far.T), 1), "gj")
+        assert isinstance(op.lu, TridiagonalLDLT)
+        cond = np.linalg.cond(dense_m)
+        v = rng.standard_normal(n)
+        want = np.linalg.solve(dense_m, v)
+        assert np.linalg.norm(op.solve_m(v) - want) <= 1e-12 * cond * np.linalg.norm(want)
+        V = rng.standard_normal((n, 3))
+        W = np.linalg.solve(dense_m, V)
+        got = op.solve_m(V)
+        assert got.shape == (n, 3)
+        assert np.linalg.norm(got - W) <= 1e-12 * cond * np.linalg.norm(W)
+        np.testing.assert_allclose((op.lu.L @ op.lu.U).toarray(), dense_m, rtol=0,
+                                   atol=1e-12 * np.abs(dense_m).max())
+
+    @pytest.mark.parametrize("dense", [
+        pytest.param([[4.0, -1.0, 0.0], [-2.0, 4.0, -1.0], [0.0, -1.0, 4.0]], id="non-symmetric"),
+        pytest.param([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 3.0]], id="indefinite"),
+        pytest.param([[3.0]], id="order-1"),
+    ])
+    def test_refusals_fall_back_to_superlu(self, dense):
+        dense = np.array(dense)
+        m = min(1, dense.shape[0] - 1)
+        op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), "gj")
+        assert isinstance(op.lu, SuperLU)
+        v = np.arange(1.0, dense.shape[0] + 1)
+        np.testing.assert_allclose(op.solve_m(v), np.linalg.solve(dense, v), rtol=1e-14)
+
+    @pytest.mark.parametrize("method", ["gj", "ggs"])
+    def test_singular_symmetric_tridiagonal_m(self, method):
+        dense = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+        s = extract_splitting(SquareMatrix.from_dense(dense), 1)
+        with pytest.raises(FactorizationError, match=rf"method={method}, m=1"):
+            build_step(s, method)
 
 
 class TestOrdering:
@@ -256,10 +327,15 @@ class TestOrdering:
     def bench100(self):
         return assemble(100, "xplusy", layout=LAYOUT_BENCH).A  # order 9900
 
-    @pytest.mark.parametrize("method, m, omega", [("gj", 1, None), ("gsor", 0, 1.5)])
+    @pytest.mark.parametrize("method, m, omega", [("gsor", 0, 1.5)])
     def test_natural_order_where_it_adds_no_fill(self, bench100, method, m, omega):
         op = build_quietly(bench100, method, m, omega)
         np.testing.assert_array_equal(op.lu.perm_c, np.arange(bench100.n))
+        assert fill(op.lu) == fill(natural_lu(op))
+
+    def test_ldlt_factor_for_gj_at_m_one(self, bench100):
+        op = build_quietly(bench100, "gj", 1)
+        assert isinstance(op.lu, TridiagonalLDLT)
         assert fill(op.lu) == fill(natural_lu(op))
 
     @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
@@ -271,7 +347,8 @@ class TestOrdering:
     def test_iteration_counts_match_natural_order_reference(self, g_id):
         problem = assemble(60, g_id, layout=LAYOUT_BENCH)
         A, b = problem.A, problem.b
-        for method, m, omega in (("gsor", 0, 1.9), ("gsor", 1, 1.9), ("ggs", 1, None)):
+        for method, m, omega in (("gsor", 0, 1.9), ("gsor", 1, 1.9), ("ggs", 1, None),
+                                 ("gj", 1, None)):
             config = IterationConfig(method, m=m, omega=omega)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RelaxationWarning)
