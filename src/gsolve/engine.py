@@ -2,10 +2,16 @@
 
 The spectral radius of an iteration matrix H = M^{-1} N has two paths:
 dense eigenvalues of an explicit matrix (the reference, for orders within
-the dense limit) and one operator path that never forms H, ARPACK on
-x -> M^{-1} N x (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  ``predict``
-uses the operator path at every order and decides the overrelaxed-GSOR
-theorem by M-matrix certificates, which need no eigenvalues.
+the dense limit) and one operator path that never forms H, ARPACK (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  ARPACK iterates
+x -> M^{-1} N x, except on a certified regular splitting A = M - N of a
+nonsingular M-matrix (N >= 0, M and A Z-matrices, a positive witness for
+A), where it iterates x -> A^{-1} N x and maps its Perron root tau to
+rho(H) = tau / (1 + tau) (Varga, Matrix Iterative Analysis, 2nd ed.,
+Springer 2000, Thm 3.13): the map spreads a radius crowded near 1 away
+from the rest of the spectrum.  ``predict`` uses the operator path at every
+order and decides the overrelaxed-GSOR theorem by M-matrix certificates,
+which need no eigenvalues.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigs, splu
 
 from .matrices import (
     ClassificationReport,
@@ -24,6 +30,8 @@ from .matrices import (
     classify,
     extract_splitting,
     is_m_matrix,
+    is_z_matrix,
+    positive_witness,
 )
 from .solvers import Method, RelaxationWarning, StepOperator, build_step
 
@@ -151,9 +159,12 @@ class PowerEstimate:
     """Operator spectral radius of H = M^{-1} N with its evidence.
 
     ``value`` is |lambda| of the dominant eigenpair (lambda, v), ||v|| = 1,
-    and ``error_bound`` is its residual ||H v - lambda v||.  When ARPACK
-    does not converge, ``reliable`` is False, ``value`` is NaN and
-    ``error_bound`` is infinite.  ``steps`` counts applications of H.
+    and ``error_bound`` is its residual ||H v - lambda v||, computed with H
+    on either route of :func:`spectral_radius`.  When ARPACK does not
+    converge, ``reliable`` is False, ``value`` is NaN and ``error_bound`` is
+    infinite.  ``steps`` counts applications of the operator the eigen-solve
+    iterated (A^{-1} N on a certified regular splitting, H otherwise) plus
+    the 2 applications of H in the residual.
     """
 
     value: float
@@ -162,28 +173,66 @@ class PowerEstimate:
     steps: int
 
 
-def _operator_radius(apply_h, n: int, seed: int | None) -> PowerEstimate:
+def _regular_factor(op: StepOperator) -> SuperLU | None:
+    """SuperLU factor of A = M - N when M - N is a regular splitting of a
+    nonsingular M-matrix, certified exactly; None otherwise.
+
+    The conditions: N >= 0 entrywise, M and A Z-matrices, and the solution
+    of A x = e through this factor a positive witness for A.  A is then a
+    nonsingular M-matrix, and the Z-matrix M >= A is one too, so M^{-1} >= 0
+    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    SIAM 1994, ch. 6).
+    """
+    if op.n_part.data.min() < 0.0:
+        return None
+    A = SquareMatrix.from_csr(op.m_part - op.n_part)
+    if not (is_z_matrix(SquareMatrix.from_csr(op.m_part)) and is_z_matrix(A)):
+        return None
+    try:
+        lu = splu(A.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # exactly singular
+        return None
+    witness, _ = positive_witness(A, lu.solve(np.ones(A.n)))
+    return None if witness is None else lu
+
+
+def _operator_radius(apply_h, n: int, seed: int | None, apply_regular=None) -> PowerEstimate:
+    """Dominant eigenpair of H by ARPACK (dense below ``SMALL_ORDER``).
+
+    With ``apply_regular`` (x -> A^{-1} N x of a certified regular
+    splitting) the eigen-solve runs on that operator instead, and its
+    eigenvalue mu maps to H's mu / (1 + mu), with the same eigenvector.
+    """
     steps = 0
 
-    def counted(v: np.ndarray) -> np.ndarray:
-        nonlocal steps
-        steps += 1
-        return apply_h(v)
+    def counted(apply):
+        def call(v: np.ndarray) -> np.ndarray:
+            nonlocal steps
+            steps += 1
+            return apply(v)
 
+        return call
+
+    iterated = counted(apply_h if apply_regular is None else apply_regular)
     if n <= SMALL_ORDER:
-        lams, vecs = np.linalg.eig(np.column_stack([counted(e) for e in np.eye(n)]))
+        lams, vecs = np.linalg.eig(np.column_stack([iterated(e) for e in np.eye(n)]))
         k = int(np.argmax(np.abs(lams)))
         lam, v = lams[k], vecs[:, k]
     else:
-        H = LinearOperator((n, n), matvec=counted, dtype=np.float64)
+        op = LinearOperator((n, n), matvec=iterated, dtype=np.float64)
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            lams, vecs = eigs(H, k=1, which="LM", v0=v0)
+            lams, vecs = eigs(op, k=1, which="LM", v0=v0)
         except ArpackNoConvergence:
             return PowerEstimate(float("nan"), np.inf, False, steps)
         lam, v = lams[0], vecs[:, 0]
+    if apply_regular is not None:
+        # An eigenvalue mu != tau with |mu| = tau would give H the eigenvalue
+        # mu / (1 + mu), of modulus above tau / (1 + tau) = rho(H); so mu is tau.
+        lam = lam / (1.0 + lam)
     # H is real, so it is applied to the real and imaginary parts apart.
-    residual = counted(v.real) + 1j * counted(v.imag) - lam * v
+    apply = counted(apply_h)
+    residual = apply(v.real) + 1j * apply(v.imag) - lam * v
     return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), True, steps)
 
 
@@ -200,6 +249,15 @@ def spectral_radius(target, mode: str = "dense", *, seed: int | None = None,
     eigenpair from the start vector drawn with ``seed``; orders up to
     ``SMALL_ORDER`` use dense eigenvalues of the operator applied to the
     identity, and an operator with an empty N part has radius 0.
+
+    A step operator whose splitting A = M - N is certified regular (N >= 0,
+    M and A = M - N Z-matrices, and a positive witness A^{-1} e from one
+    sparse LU of A) is handled through A^{-1} N >= 0 instead: its Perron
+    root tau is its largest-modulus eigenvalue, and rho(H) = tau / (1 + tau)
+    (Varga, Thm 3.13).  That covers GJ and GGS at every m and SOR (GSOR at
+    m = 0) at omega <= 1 on nonsingular M-matrices.  The residual is
+    still taken with H.  Every other operator, and every callable, is
+    iterated as H.
     """
     if mode == "dense":
         if isinstance(target, SquareMatrix):
@@ -214,7 +272,10 @@ def spectral_radius(target, mode: str = "dense", *, seed: int | None = None,
             op = target
             if op.n_part.nnz == 0:
                 return PowerEstimate(0.0, 0.0, True, 0)
-            return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed)
+            lu = _regular_factor(op)
+            apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
+            return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
+                                    apply_regular)
         if callable(target):
             if n is None:
                 raise ValueError("power mode with a callable needs the dimension n")
@@ -259,6 +320,10 @@ def predict(
     omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
     ``report`` is A's :func:`classify` report when the caller already has
     it; without one, A is classified here.  The SPD verdict plays no part.
+    The radius comes from :func:`spectral_radius` in power mode, so on a
+    nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
+    its regular-splitting route: ARPACK on A^{-1} N, whose Perron root tau
+    gives rho = tau / (1 + tau) (Varga, Thm 3.13).
     """
     if report is None:
         report = classify(A)

@@ -256,18 +256,30 @@ def _certify_m(A: SquareMatrix) -> tuple[bool, np.ndarray | None, str | None]:
             x = spsolve(sp.csc_array(A.csr), rhs, permc_spec="MMD_AT_PLUS_A")
     except (MatrixRankWarning, RuntimeError):
         return False, None, "singular"
+    witness, note = positive_witness(A, x)
+    return witness is not None, witness, note
+
+
+def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]:
+    """Check a computed solution x of A x = e as an M-matrix witness.
+
+    For a Z-matrix A, a finite x that is strictly positive after scaling to
+    unit max-norm (every component above ``WITNESS_TOL``) and whose image
+    A x is strictly positive certifies A as a nonsingular M-matrix.  Returns
+    (scaled witness, None) or (None, the reason it fails).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(x)):
-        return False, None, "singular"
+        return None, "singular"
     scale = np.abs(x).max()
     if scale == 0.0:
-        return False, None, "singular"
+        return None, "singular"
     witness = x / scale
     if np.min(witness) <= WITNESS_TOL:
-        return False, None, "witness has nonpositive components"
+        return None, "witness has nonpositive components"
     if not np.all(A.csr @ witness > 0.0):
-        return False, None, "witness image not strictly positive"
-    return True, witness, None
+        return None, "witness image not strictly positive"
+    return witness, None
 
 
 def is_m_matrix(A: SquareMatrix) -> tuple[bool, np.ndarray | None]:

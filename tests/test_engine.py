@@ -23,7 +23,7 @@ from gsolve import (
     solve,
     spectral_radius,
 )
-from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M
+from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, assemble
 
@@ -275,6 +275,80 @@ class TestSpectralRadius:
         else:
             # ARPACK may give up on near-equal dominant moduli; it must say so
             assert n > SMALL_ORDER and estimate.error_bound == np.inf
+
+
+class TestRegularSplittingRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 2 * SMALL_ORDER),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gj", "ggs", "sor"]),
+        st.floats(0.05, 1.0),
+        st.data(),
+    )
+    def test_matches_dense_oracle_on_m_matrices(self, n, seed, method, omega, data):
+        A = random_m_matrix(n, np.random.default_rng(seed))
+        if method == "sor":
+            method, m = "gsor", 0
+        else:
+            m, omega = data.draw(st.integers(0, n - 2), label="m"), None
+        op = build_step(extract_splitting(A, m), method, omega)
+        assert _regular_factor(op) is not None
+        want = spectral_radius(_explicit_h(A, method, m, omega))
+        estimate = spectral_radius(op, mode="power", seed=seed)
+        assert estimate.reliable
+        assert estimate.value == pytest.approx(want, abs=1e-10 * max(want, 1.0))
+        assert estimate.error_bound <= 1e-12
+
+    def test_steps_below_small_order(self):
+        A = random_m_matrix(SMALL_ORDER, np.random.default_rng(3))
+        op = build_step(extract_splitting(A, 1), "gj")
+        # A^{-1} N on each unit vector, then H twice for the residual
+        assert spectral_radius(op, mode="power").steps == SMALL_ORDER + 2
+
+    def test_bench_gj_is_seed_independent(self):
+        A = assemble(100, "zero", layout=LAYOUT_BENCH).A
+        op = build_step(extract_splitting(A, 1), "gj")
+        estimates = [spectral_radius(op, mode="power", seed=seed) for seed in range(9)]
+        assert {e.steps for e in estimates} == {estimates[0].steps}
+        assert estimates[0].steps <= 30
+        for estimate in estimates:
+            assert estimate.reliable
+            assert round(estimate.value, 6) == 0.999023
+
+    @staticmethod
+    def _refusals(spd3):
+        # Below omega_opt, where ARPACK's answer does not depend on its history.
+        bench = assemble(20, "zero", layout=LAYOUT_BENCH).A
+        yield "gsor omega=1.5", build_step(extract_splitting(bench, 1), "gsor", 1.5)
+        yield "spd3", build_step(extract_splitting(spd3, 1), "gj")
+        dense = assemble(6, "zero", layout=LAYOUT_BENCH).A.to_dense()
+        dense[0, 7] = 0.5  # above the band of m = 1: N = upper gets one negative entry
+        yield "negative N", build_step(extract_splitting(SquareMatrix.from_dense(dense), 1),
+                                       "ggs")
+        n = 2 * SMALL_ORDER  # zero row sums: a singular Z-matrix
+        laplacian = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+        laplacian[0, 0] = laplacian[-1, -1] = 1.0
+        yield "singular", build_step(extract_splitting(SquareMatrix.from_dense(laplacian), 0),
+                                     "ggs")
+
+    def test_refusals_return_the_h_route_answer(self, spd3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RelaxationWarning)
+            refusals = dict(self._refusals(spd3))
+        assert refusals["negative N"].n_part.data.min() < 0
+        for name, op in refusals.items():
+            assert _regular_factor(op) is None, name
+            got = spectral_radius(op, mode="power", seed=5)
+            # a callable is always iterated as H
+            as_h = spectral_radius(lambda v: op.solve_m(op.n_part @ v), mode="power",
+                                   n=op.n, seed=5)
+            np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(as_h),
+                                    err_msg=name)
+        assert spectral_radius(refusals["spd3"], mode="power").value == pytest.approx(
+            1.5883, abs=5e-5)
+        assert spectral_radius(refusals["singular"], mode="power", seed=0).value == (
+            pytest.approx(1.0, abs=1e-8))
 
 
 class TestPredict:

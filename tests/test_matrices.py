@@ -22,6 +22,7 @@ from gsolve import (
     is_z_matrix,
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from gsolve.matrices import positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
 
 
@@ -224,6 +225,16 @@ class TestPredicates:
         assert not ok
         report = classify(SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
         assert any("singular" in note for note in report.notes)
+
+    def test_positive_witness_reasons(self):
+        A = SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        witness, note = positive_witness(A, [3.0, 3.0])
+        np.testing.assert_array_equal(witness, [1.0, 1.0])
+        assert note is None
+        for x, reason in (([np.inf, 1.0], "singular"), ([0.0, 0.0], "singular"),
+                          ([1.0, 1e-13], "witness has nonpositive components"),
+                          ([1.0, 0.4], "witness image not strictly positive")):
+            assert positive_witness(A, x) == (None, reason)
 
     def test_poisson_reaction_system_is_m(self):
         problem = assemble(5, "zero")
