@@ -215,9 +215,14 @@ def _operator_radius(apply_h, n: int, seed: int | None, apply_regular=None) -> P
 
     iterated = counted(apply_h if apply_regular is None else apply_regular)
     if n <= SMALL_ORDER:
-        lams, vecs = np.linalg.eig(np.column_stack([iterated(e) for e in np.eye(n)]))
-        k = int(np.argmax(np.abs(lams)))
-        lam, v = lams[k], vecs[:, k]
+        T = np.column_stack([iterated(e) for e in np.eye(n)])
+        lams = np.linalg.eigvals(T)
+        lam = lams[int(np.argmax(np.abs(lams)))]
+        # LAPACK geev balances T, and where a column of T is near zero (SOR
+        # at omega = 1 - eps puts 1e-16 on N's diagonal) its eigenvectors
+        # come back with residuals near 1e-10.  The right singular vector of
+        # T - lam I for its least singular value has the least residual.
+        v = np.linalg.svd(T - lam * np.eye(n))[2][-1].conj()
     else:
         op = LinearOperator((n, n), matvec=iterated, dtype=np.float64)
         v0 = np.random.default_rng(seed).standard_normal(n)
