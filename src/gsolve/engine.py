@@ -70,11 +70,19 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of :func:`solve`.
+
+    ``note`` says why an unconverged run stopped: ``"diverged"`` or
+    ``"max_iter"``.  ``setup_seconds`` is the time of splitting extraction
+    and factorization, ``elapsed_seconds`` that of the iteration loop.
+    """
+
     converged: bool
     iterations: int
     final_diff_norm: float
     final_error_norm: float | None
     elapsed_seconds: float
+    setup_seconds: float
     solution: np.ndarray
     note: str = ""
 
@@ -97,17 +105,21 @@ def solve(
     """Iterate from x0 until the successive-difference test passes.
 
     Stops early with ``note="diverged"`` once the difference norm blows past
-    ``DIVERGENCE_GUARD`` times the first difference (or goes non-finite).
-    Wall time covers the iteration loop only, not splitting extraction or
-    factorization.  When ``x_exact`` is supplied the 2-norm error of the
-    final iterate is reported as ``final_error_norm``.  A misshapen or
-    non-finite ``b``, ``x0`` or ``x_exact`` raises ValueError before set-up.
+    ``DIVERGENCE_GUARD`` times the first difference (or goes non-finite), and
+    with ``note="max_iter"`` when the cap is reached first.  Splitting
+    extraction and factorization are timed as ``setup_seconds``, the
+    iteration loop as ``elapsed_seconds``.  When ``x_exact`` is supplied the
+    2-norm error of the final iterate is reported as ``final_error_norm``.
+    A misshapen or non-finite ``b``, ``x0`` or ``x_exact`` raises ValueError
+    before set-up.
     """
     b = _finite_vector("b", b, A.n)
     x = np.zeros(A.n) if config.x0 is None else _finite_vector("x0", config.x0, A.n)
     if x_exact is not None:
         x_exact = _finite_vector("x_exact", x_exact, A.n)
+    setup_start = time.perf_counter()
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
+    setup = time.perf_counter() - setup_start
 
     converged = False
     note = ""
@@ -132,6 +144,8 @@ def solve(
         if not math.isfinite(diff) or diff > DIVERGENCE_GUARD * first_diff:
             note = "diverged"
             break
+    else:
+        note = "max_iter"
     elapsed = time.perf_counter() - start
 
     err = None if x_exact is None else float(np.linalg.norm(x - x_exact))
@@ -141,6 +155,7 @@ def solve(
         final_diff_norm=diff,
         final_error_norm=err,
         elapsed_seconds=elapsed,
+        setup_seconds=setup,
         solution=x,
         note=note,
     )

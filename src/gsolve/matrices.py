@@ -168,6 +168,21 @@ class BandedSplitting:
             self.band.csr - self.lower.csr - self.upper.csr
         )
 
+    def blocks(self) -> np.ndarray:
+        """Bounds of the diagonal blocks of the band: block k is [b[k], b[k+1]).
+
+        The blocks are the maximal index runs that no band entry crosses:
+        i is a cut when no band entry (r, c) has min(r, c) <= i < max(r, c).
+        On both PDE grid layouts they are the grid lines at every m >= 1, and
+        single points at m = 0.
+        """
+        coo = self.band.csr.tocoo()
+        lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
+        # cover[i] counts the band entries that span the gap between i and i + 1
+        cover = np.cumsum(np.bincount(lo, minlength=self.n) - np.bincount(hi, minlength=self.n))
+        cuts = np.flatnonzero(cover[:-1] == 0) + 1
+        return np.concatenate(([0], cuts, [self.n]))
+
 
 def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:
     """Split A into band part and negated outside-band triangles.

@@ -15,10 +15,10 @@ m <= 1 on a symmetric M-matrix, say) gets an LDL^T factor without
 pivoting, LAPACK pttrf/pttrs, which is backward stable on such matrices
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
 2002, ch. 9).  Every other M gets a sparse LU with partial pivoting
-(SuperLU), whose column ordering is chosen from the structure of M:
-natural order where it adds no fill, minimum degree on M^T + M where it
-would fill the lower envelope (see :func:`build_step`).  At m = 0 the
-methods reduce to classical Jacobi, Gauss-Seidel, and SOR.
+(SuperLU): in natural order, or for GGS and GSOR at m > 0 after a
+nested-dissection permutation inside each diagonal block of the band
+(George, SIAM J. Numer. Anal. 10, 1973; see :func:`build_step`).  At m = 0
+the methods reduce to classical Jacobi, Gauss-Seidel, and SOR.
 """
 
 from __future__ import annotations
@@ -84,6 +84,67 @@ class TridiagonalLDLT:
         return sp.csc_array(sp.diags_array([self.d, self.d[:-1] * self.e], offsets=[0, 1]))
 
 
+class PermutedLU:
+    """SuperLU factor of M[p][:, p], with SuperLU's solve/L/U surface for M.
+
+    ``L`` and ``U`` are the factors of the permuted matrix; ``perm`` is p.
+    """
+
+    def __init__(self, lu: SuperLU, perm: np.ndarray) -> None:
+        self.lu, self.perm = lu, perm
+        self.inverse = np.argsort(perm)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """M^{-1} v for a vector or for matrix columns; v is not modified."""
+        return self.lu.solve(v[self.perm])[self.inverse]
+
+    @property
+    def L(self) -> sp.csc_array:
+        return self.lu.L
+
+    @property
+    def U(self) -> sp.csc_array:
+        return self.lu.U
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + l) over the pairs (s, l)."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _dissection_order(splitting: BandedSplitting) -> np.ndarray:
+    """Nested-dissection order of the indices inside each diagonal block of the band.
+
+    A block whose band entries reach at most w off the diagonal is split at a
+    separator of w consecutive indices, so that no band entry joins the two
+    halves; the halves are ordered recursively and the separator after them.
+    Runs of at most 2w indices keep natural order.  All segments of one
+    recursion level are handled together.
+    """
+    bounds = splitting.blocks()
+    coo = splitting.band.csr.tocoo()
+    width = np.zeros(bounds.size - 1, dtype=np.intp)
+    block_of = np.searchsorted(bounds, coo.row, side="right") - 1
+    np.maximum.at(width, block_of, np.abs(coo.row - coo.col))
+    perm = np.empty(splitting.n, dtype=np.intp)
+    # segment k puts the indices start[k] + [0, length[k]) into perm from place[k] on
+    start = place = bounds[:-1]
+    length = np.diff(bounds)
+    while start.size:
+        leaf = length <= np.maximum(2 * width, 1)
+        perm[_ranges(place[leaf], length[leaf])] = _ranges(start[leaf], length[leaf])
+        split = ~leaf
+        start, place, length, width = start[split], place[split], length[split], width[split]
+        half = (length - width) // 2
+        perm[_ranges(place + length - width, width)] = _ranges(start + half, width)
+        start = np.concatenate([start, start + half + width])
+        place = np.concatenate([place, place + half])
+        length = np.concatenate([half, length - width - half])
+        width = np.concatenate([width, width])
+    return perm
+
+
 def _spd_tridiagonal_factor(m_part: sp.csr_array) -> TridiagonalLDLT | None:
     """The LDL^T factor of M when M is tridiagonal, symmetric and SPD, else None."""
     n = m_part.shape[0]
@@ -104,9 +165,10 @@ def _spd_tridiagonal_factor(m_part: sp.csr_array) -> TridiagonalLDLT | None:
 class StepOperator:
     """Prepared single-step update for one (method, splitting, omega) triple.
 
-    ``lu`` is the factor of M: :class:`TridiagonalLDLT` or SuperLU (see
-    :func:`build_step`).  Immutable after construction; the factor is
-    read-only, so concurrent :meth:`apply` calls on one operator are safe.
+    ``lu`` is the factor of M: :class:`TridiagonalLDLT`, :class:`PermutedLU`
+    or SuperLU (see :func:`build_step`).  Immutable after construction; the
+    factor is read-only, so concurrent :meth:`apply` calls on one operator
+    are safe.
     """
 
     method: Method
@@ -115,7 +177,7 @@ class StepOperator:
     m_part: sp.csr_array
     n_part: sp.csr_array
     rhs_scale: float
-    lu: TridiagonalLDLT | SuperLU
+    lu: TridiagonalLDLT | PermutedLU | SuperLU
 
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
@@ -146,10 +208,17 @@ def build_step(
     M is factorized by LAPACK pttrf (LDL^T, no pivoting) when its order is at
     least 2, every stored entry lies within |i - j| <= 1, its sub- and
     superdiagonals are equal, and pttrf finds every pivot positive, i.e. M
-    is SPD.  Every other M goes to SuperLU: natural column order, except for
-    GGS/GSOR at m > 0 with a nonempty lower part, whose M would fill its lower
-    envelope and gets a minimum-degree order on M^T + M.  A singular M raises
-    :class:`FactorizationError`.
+    is SPD.  Every other M goes to SuperLU in natural column order, except
+    for GGS/GSOR at m > 0 with a nonempty lower part.  That M is permuted
+    symmetrically first, by a nested-dissection order inside each diagonal
+    block of the band (:meth:`~gsolve.matrices.BandedSplitting.blocks`), and
+    factorized as a :class:`PermutedLU`.  No band entry crosses a block, so
+    where every outside-band entry joins two blocks, as on the PDE grids
+    where the blocks are the grid lines, M = band - omega*lower is block
+    lower triangular.  Natural elimination then fills each coupling block of
+    L with the dense triangle U_k^{-1} of the previous block, b^2/2 entries
+    for a block of order b; dissection leaves O(b log b) of them.  A
+    singular M raises :class:`FactorizationError`.
 
     GSOR requires a finite omega != 0.  Any omega in (0, 1] is covered by
     at least one convergence theorem for suitable matrix classes; other
@@ -184,12 +253,12 @@ def build_step(
 
     lu = _spd_tridiagonal_factor(m_part)
     if lu is None:
-        fills = method is not Method.GJ and splitting.m > 0 and lower.nnz > 0
         try:
-            lu = splu(
-                sp.csc_matrix(m_part),
-                permc_spec="MMD_AT_PLUS_A" if fills else "NATURAL",
-            )
+            if method is not Method.GJ and splitting.m > 0 and lower.nnz > 0:
+                p = _dissection_order(splitting)
+                lu = PermutedLU(splu(sp.csc_matrix(m_part[p][:, p]), permc_spec="NATURAL"), p)
+            else:
+                lu = splu(sp.csc_matrix(m_part), permc_spec="NATURAL")
         except (RuntimeError, ValueError) as err:
             raise FactorizationError(
                 f"M part is singular for method={method.value}, m={splitting.m}: {err}"

@@ -101,6 +101,15 @@ class TestRun:
         assert rows[0]["converged"] == "false"
         assert rows[0]["note"] == "diverged"
 
+    def test_capped_run_notes_max_iter(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--pde", "g=zero", "n=20", "--method", "gj", "--max-iter", "5"
+        )
+        assert code == 1
+        rows = parse_csv(out)
+        assert (rows[0]["iterations"], rows[0]["converged"], rows[0]["note"]) == (
+            "5", "false", "max_iter")
+
     def test_gsor_without_omega_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--pde", "g=zero", "n=4", "--method", "gsor"

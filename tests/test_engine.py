@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import warnings
 from unittest import mock
 
@@ -182,6 +183,21 @@ class TestSolve:
         report = solve(spd3, b, IterationConfig("gj", m=1, max_iter=5))
         assert not report.converged
         assert report.iterations <= 5
+
+    def test_capped_run_says_max_iter(self):
+        problem = assemble(20, "zero", layout=LAYOUT_BENCH)
+        report = solve(problem.A, problem.b, IterationConfig("gj", m=1, max_iter=5))
+        assert (report.converged, report.iterations, report.note) == (False, 5, "max_iter")
+        report = solve(problem.A, problem.b, IterationConfig("gj", m=1))
+        assert report.converged and report.note == ""
+
+    def test_setup_and_loop_times_fit_in_the_wall_time(self):
+        problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)
+        start = time.perf_counter()
+        report = solve(problem.A, problem.b, IterationConfig("gsor", m=1, omega=1.5))
+        wall = time.perf_counter() - start
+        assert report.setup_seconds >= 0.0 and report.elapsed_seconds >= 0.0
+        assert report.setup_seconds + report.elapsed_seconds <= wall
 
 
 class TestSpectralRadius:

@@ -23,19 +23,15 @@ from gsolve import (
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import positive_witness
-from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
 @st.composite
-def matrix_and_bandwidth(draw, max_n=7):
+def matrix_and_bandwidth(draw, max_n=7, elements=None):
     n = draw(st.integers(2, max_n))
-    arr = draw(
-        hnp.arrays(
-            np.float64,
-            (n, n),
-            elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
-        )
-    )
+    if elements is None:
+        elements = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    arr = draw(hnp.arrays(np.float64, (n, n), elements=elements))
     m = draw(st.integers(0, n - 1))
     return SquareMatrix.from_dense(arr), m
 
@@ -162,6 +158,35 @@ class TestExtractSplitting:
             assert i > j + m
         for i, j, _ in s.upper.entries():
             assert j > i + m
+
+
+class TestBandBlocks:
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    @pytest.mark.parametrize("layout, lines", [(LAYOUT_BENCH, 39), (LAYOUT_SQUARE, 40)])
+    def test_grid_lines_at_every_positive_m(self, layout, lines, m):
+        A = assemble(40, "xplusy", layout=layout).A
+        np.testing.assert_array_equal(extract_splitting(A, m).blocks(),
+                                      np.arange(lines + 1) * 40)
+
+    def test_single_points_at_m_zero(self):
+        A = assemble(40, "xplusy", layout=LAYOUT_BENCH).A
+        np.testing.assert_array_equal(extract_splitting(A, 0).blocks(), np.arange(A.n + 1))
+
+    def test_band_entry_across_a_line_boundary_merges_the_lines(self):
+        csr = sp.lil_array(assemble(40, "xplusy", layout=LAYOUT_BENCH).A.csr)
+        csr[39, 40] = -0.5  # last point of line 0, first point of line 1
+        blocks = extract_splitting(SquareMatrix.from_csr(csr), 1).blocks()
+        assert blocks.size - 1 == 38
+        np.testing.assert_array_equal(blocks[:3], [0, 80, 120])
+
+    @settings(max_examples=60)
+    @given(matrix_and_bandwidth(max_n=9, elements=st.sampled_from([0.0, 0.0, 1.0])))
+    def test_cuts_are_the_gaps_no_band_entry_spans(self, case):
+        A, m = case
+        s = extract_splitting(A, m)
+        spans = [(min(i, j), max(i, j)) for i, j, _ in s.band.entries()]
+        cuts = [g for g in range(1, A.n) if not any(lo <= g < hi for lo, hi in spans)]
+        np.testing.assert_array_equal(s.blocks(), [0, *cuts, A.n])
 
 
 class TestComparisonMatrix:

@@ -21,7 +21,7 @@ from gsolve import (
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
-from gsolve.solvers import TridiagonalLDLT
+from gsolve.solvers import PermutedLU, TridiagonalLDLT, _dissection_order
 
 
 def random_strong_diag(rng, n):
@@ -233,11 +233,12 @@ class TestIterationMatrix:
                 assert rho >= abs(omega - 1.0) - 1e-12
 
 
-@pytest.mark.parametrize("method, m, symmetric, factor", [
-    ("ggs", 3, False, SuperLU),
-    ("gj", 1, True, TridiagonalLDLT),
-], ids=["ggs-superlu", "gj-ldlt"])
-def test_concurrent_apply_is_safe(method, m, symmetric, factor):
+@pytest.mark.parametrize("method, m, omega, symmetric, factor", [
+    ("ggs", 3, None, False, PermutedLU),
+    ("gsor", 1, 0.8, False, PermutedLU),
+    ("gj", 1, None, True, TridiagonalLDLT),
+], ids=["ggs-superlu", "gsor-permuted", "gj-ldlt"])
+def test_concurrent_apply_is_safe(method, m, omega, symmetric, factor):
     # the prepared factorization is read-only; parallel apply calls on one
     # operator must give the same iterates as a sequential run and leave
     # the callers' vectors as they were
@@ -249,7 +250,7 @@ def test_concurrent_apply_is_safe(method, m, symmetric, factor):
         dense = dense + dense.T
         np.fill_diagonal(dense, 0.0)
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
-    op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), method)
+    op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), method, omega)
     assert isinstance(op.lu, factor)
     b = rng.normal(size=40)
     starts = [rng.normal(size=40) for _ in range(32)]
@@ -320,8 +321,24 @@ class TestTridiagonalFactor:
             build_step(s, method)
 
 
+def assert_nested(order, start, stop, width):
+    """``order`` lists [start, stop) with each separator of ``width`` consecutive
+    indices after both of its halves; runs of at most 2 * width keep natural order."""
+    np.testing.assert_array_equal(np.sort(order), np.arange(start, stop))
+    if stop - start <= max(2 * width, 1):
+        np.testing.assert_array_equal(order, np.arange(start, stop))
+        return
+    sep = order[-width:]
+    np.testing.assert_array_equal(sep, np.arange(sep[0], sep[0] + width))
+    assert start < sep[0] and sep[-1] < stop - 1
+    rest = order[:-width]
+    assert_nested(rest[rest < sep[0]], start, sep[0], width)
+    assert_nested(rest[rest > sep[-1]], sep[-1] + 1, stop, width)
+
+
 class TestOrdering:
-    """M is factorized in natural order unless that order fills its envelope."""
+    """M is factorized in natural order unless that order fills its envelope;
+    GGS and GSOR at m > 0 are then reordered by nested dissection."""
 
     @pytest.fixture(scope="class")
     def bench100(self):
@@ -341,7 +358,52 @@ class TestOrdering:
     @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
     def test_fill_reducing_order_for_ggs_and_gsor(self, bench100, method, omega):
         op = build_quietly(bench100, method, 1, omega)
+        assert isinstance(op.lu, PermutedLU)
+        mmd = splu(sp.csc_matrix(op.m_part), permc_spec="MMD_AT_PLUS_A")
+        assert fill(op.lu) <= 0.6 * fill(mmd)
         assert fill(op.lu) < fill(natural_lu(op))
+
+    def test_same_fill_for_ggs_and_gsor_at_every_m(self):
+        # the band of the bench grid holds only the tridiagonal line entries,
+        # so m = 2 and m = 20 split off the same M as m = 1
+        A = assemble(40, "negexp4xy", layout=LAYOUT_BENCH).A
+        fills = {fill(build_quietly(A, method, m, omega).lu)
+                 for m in (1, 2, 20) for method, omega in (("ggs", None), ("gsor", 1.5))}
+        assert len(fills) == 1
+
+    @pytest.mark.parametrize("A, m, width", [
+        pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 0, 0, id="bench-m0"),
+        pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 1, 1, id="bench-m1"),
+        pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 2, 1, id="bench-m2"),
+        pytest.param(SquareMatrix.from_csr(sp.diags_array(
+            [-1.0, -1.0, -1.0, 7.0, -1.0, -1.0, -1.0], offsets=[-7, -2, -1, 0, 1, 2, 7],
+            shape=(57, 57))), 2, 2, id="pentadiagonal-m2"),
+    ])
+    def test_dissection_order_puts_each_separator_after_its_halves(self, A, m, width):
+        s = extract_splitting(A, m)
+        perm = _dissection_order(s)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(A.n))
+        bounds = s.blocks()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert_nested(perm[lo:hi], lo, hi, width)
+
+    @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
+    def test_iteration_matrix_matches_dense(self, method, omega):
+        A = assemble(20, "negexp4xy", layout=LAYOUT_BENCH).A  # order 380
+        op = build_quietly(A, method, 1, omega)
+        assert isinstance(op.lu, PermutedLU)
+        dense_m = op.m_part.toarray()
+        want = np.linalg.solve(dense_m, op.n_part.toarray())
+        err = np.linalg.norm(iteration_matrix(op) - want)
+        assert err <= 1e-12 * np.linalg.cond(dense_m) * np.linalg.norm(want)
+
+    def test_factor_is_lu_of_the_permuted_m_without_pivoting(self):
+        A = assemble(20, "negexp4xy", layout=LAYOUT_BENCH).A
+        op = build_quietly(A, "gsor", 1, 1.9)
+        np.testing.assert_array_equal(op.lu.lu.perm_r, np.arange(A.n))
+        want = op.m_part.toarray()[np.ix_(op.lu.perm, op.lu.perm)]
+        np.testing.assert_allclose((op.lu.L @ op.lu.U).toarray(), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("g_id", sorted(G_BUILTINS))
     def test_iteration_counts_match_natural_order_reference(self, g_id):
