@@ -241,6 +241,10 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_rho(args, out) -> int:
     _, A, _, _ = _load_source(args)
+    if not args.power and A.n > DEFAULT_DENSE_LIMIT:
+        raise CliError(
+            f"order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; rerun with --power"
+        )
     _, method, m, omega = _method_plan(args.method, args.m, args.omega)
     op = build_step(extract_splitting(A, m), method, omega)
     if args.power:
@@ -252,10 +256,6 @@ def _cmd_rho(args, out) -> int:
             file=out,
         )
         return 0
-    if A.n > DEFAULT_DENSE_LIMIT:
-        raise CliError(
-            f"order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; rerun with --power"
-        )
     value = spectral_radius(iteration_matrix(op))
     print(f"rho: {value:.6g} mode=dense reliable=yes", file=out)
     return 0
@@ -327,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--omega", type=float, default=None)
     p_rho.add_argument("--power", action="store_true",
                        help="ARPACK on the implicit operator instead of dense eigenvalues")
-    p_rho.add_argument("--seed", type=int, default=None, help="start-vector seed for --power")
+    p_rho.add_argument("--seed", type=int, default=0,
+                       help="start-vector seed for --power (default 0)")
 
     p_exp = sub.add_parser(
         "export",

@@ -22,16 +22,16 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigs, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigs
 
 from .matrices import (
     ClassificationReport,
     SquareMatrix,
+    certify_m,
     classify,
     extract_splitting,
     is_m_matrix,
     is_z_matrix,
-    positive_witness,
 )
 from .solvers import Method, RelaxationWarning, StepOperator, build_step
 
@@ -192,26 +192,19 @@ def _regular_factor(op: StepOperator) -> SuperLU | None:
     """SuperLU factor of A = M - N when M - N is a regular splitting of a
     nonsingular M-matrix, certified exactly; None otherwise.
 
-    The conditions: N >= 0 entrywise, M and A Z-matrices, and the solution
-    of A x = e through this factor a positive witness for A.  A is then a
-    nonsingular M-matrix, and the Z-matrix M >= A is one too, so M^{-1} >= 0
-    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    SIAM 1994, ch. 6).
+    The splitting's conditions are checked here: N >= 0 entrywise and M a
+    Z-matrix.  A's own certificate, the Z test and a positive witness from
+    one sparse LU, is :func:`certify_m`, whose factor is returned.  A is then
+    a nonsingular M-matrix, and the Z-matrix M >= A is one too, so
+    M^{-1} >= 0 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, SIAM 1994, ch. 6).
     """
-    if op.n_part.data.min() < 0.0:
+    if np.any(op.n_part.data < 0.0) or not is_z_matrix(SquareMatrix.from_csr(op.m_part)):
         return None
-    A = SquareMatrix.from_csr(op.m_part - op.n_part)
-    if not (is_z_matrix(SquareMatrix.from_csr(op.m_part)) and is_z_matrix(A)):
-        return None
-    try:
-        lu = splu(A.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:  # exactly singular
-        return None
-    witness, _ = positive_witness(A, lu.solve(np.ones(A.n)))
-    return None if witness is None else lu
+    return certify_m(SquareMatrix.from_csr(op.m_part - op.n_part))[0]
 
 
-def _operator_radius(apply_h, n: int, seed: int | None, apply_regular=None) -> PowerEstimate:
+def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEstimate:
     """Dominant eigenpair of H by ARPACK (dense below ``SMALL_ORDER``).
 
     With ``apply_regular`` (x -> A^{-1} N x of a certified regular
@@ -256,28 +249,26 @@ def _operator_radius(apply_h, n: int, seed: int | None, apply_regular=None) -> P
     return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), True, steps)
 
 
-def spectral_radius(target, mode: str = "dense", *, seed: int | None = None,
-                    n: int | None = None):
+def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
     """Largest eigenvalue modulus of an iteration matrix.
 
     ``mode="dense"``: ``target`` is an explicit matrix (:class:`SquareMatrix`
     or ndarray); returns a float from a dense eigenvalue computation.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
-    x -> M^{-1} N x) or a callable applying an operator (then ``n`` is
-    required); returns a :class:`PowerEstimate`.  ARPACK finds the dominant
-    eigenpair from the start vector drawn with ``seed``; orders up to
-    ``SMALL_ORDER`` use dense eigenvalues of the operator applied to the
-    identity, and an operator with an empty N part has radius 0.
+    x -> M^{-1} N x); returns a :class:`PowerEstimate`.  ARPACK finds the
+    dominant eigenpair from the start vector drawn with ``seed``, 0 unless
+    given, so every call is deterministic.  Orders up to ``SMALL_ORDER`` use
+    dense eigenvalues of the operator applied to the identity, and an
+    operator with an empty N part has radius 0.
 
     A step operator whose splitting A = M - N is certified regular (N >= 0,
-    M and A = M - N Z-matrices, and a positive witness A^{-1} e from one
-    sparse LU of A) is handled through A^{-1} N >= 0 instead: its Perron
+    M a Z-matrix, and A = M - N certified by :func:`certify_m`, whose sparse
+    LU of A is reused) is handled through A^{-1} N >= 0 instead: its Perron
     root tau is its largest-modulus eigenvalue, and rho(H) = tau / (1 + tau)
     (Varga, Thm 3.13).  That covers GJ and GGS at every m and SOR (GSOR at
     m = 0) at omega <= 1 on nonsingular M-matrices.  The residual is
-    still taken with H.  Every other operator, and every callable, is
-    iterated as H.
+    still taken with H.  Every other operator is iterated as H.
     """
     if mode == "dense":
         if isinstance(target, SquareMatrix):
@@ -288,19 +279,15 @@ def spectral_radius(target, mode: str = "dense", *, seed: int | None = None,
             raise ValueError(f"dense mode needs a square matrix, got shape {dense.shape}")
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
     if mode == "power":
-        if isinstance(target, StepOperator):
-            op = target
-            if op.n_part.nnz == 0:
-                return PowerEstimate(0.0, 0.0, True, 0)
-            lu = _regular_factor(op)
-            apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
-            return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
-                                    apply_regular)
-        if callable(target):
-            if n is None:
-                raise ValueError("power mode with a callable needs the dimension n")
-            return _operator_radius(target, n, seed)
-        raise TypeError("power mode needs a StepOperator or a callable")
+        if not isinstance(target, StepOperator):
+            raise TypeError("power mode needs a StepOperator")
+        op = target
+        if op.n_part.nnz == 0:
+            return PowerEstimate(0.0, 0.0, True, 0)
+        lu = _regular_factor(op)
+        apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
+        return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
+                                apply_regular)
     raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
 
 
@@ -374,7 +361,7 @@ def predict(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RelaxationWarning)
         op = build_step(splitting, method, omega)
-    estimate = spectral_radius(op, mode="power", seed=0)
+    estimate = spectral_radius(op, mode="power")
     if estimate.reliable:
         rho, predicted = estimate.value, bool(estimate.value < 1.0)
     else:

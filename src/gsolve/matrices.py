@@ -8,14 +8,13 @@ across threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import SuperLU, splu
 
 #: Fixed largest order for the SPD test of :func:`classify`, a banded Cholesky
 #: whose (kd + 1) * n band storage reaches n^2 when an entry lies far from the
@@ -252,27 +251,28 @@ def is_l_matrix(A: SquareMatrix) -> bool:
     return is_z_matrix(A) and bool(np.all(A.csr.diagonal() > 0.0))
 
 
-def _certify_m(A: SquareMatrix) -> tuple[bool, np.ndarray | None, str | None]:
-    """Nonsingular M-matrix certificate via the semipositivity witness.
+def certify_m(A: SquareMatrix) -> tuple[SuperLU | None, np.ndarray | None, str | None]:
+    """Nonsingular M-matrix certificate: (factor, witness, note).
 
-    Solves A x = e (all-ones).  For a Z-matrix, x strictly positive is
+    Factorizes A by one sparse LU and solves A x = e (all-ones) with it.  For
+    a Z-matrix, x strictly positive (see :func:`positive_witness`) is
     equivalent to A being a nonsingular M-matrix, and (x, Ax = e) is then a
-    storable witness pair.  The witness is returned scaled to unit max-norm.
-    The solve orders columns by minimum degree on A^T + A, which suits the
-    structurally symmetric PDE matrices better than the default COLAMD
-    (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 7).
+    storable witness pair; the witness is scaled to unit max-norm.  A
+    certified A returns (its SuperLU factor, the witness, None), which the
+    regular-splitting radius reuses; any other A returns (None, None, the
+    reason).  The LU orders columns by minimum degree on A^T + A, which
+    suits the structurally symmetric PDE matrices better than the default
+    COLAMD (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006,
+    ch. 7).
     """
     if not is_z_matrix(A):
-        return False, None, "not a Z-matrix"
-    rhs = np.ones(A.n)
+        return None, None, "not a Z-matrix"
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            x = spsolve(sp.csc_array(A.csr), rhs, permc_spec="MMD_AT_PLUS_A")
-    except (MatrixRankWarning, RuntimeError):
-        return False, None, "singular"
-    witness, note = positive_witness(A, x)
-    return witness is not None, witness, note
+        lu = splu(sp.csc_array(A.csr), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # exactly singular
+        return None, None, "singular"
+    witness, note = positive_witness(A, lu.solve(np.ones(A.n)))
+    return (None if witness is None else lu), witness, note
 
 
 def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]:
@@ -299,27 +299,13 @@ def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]
 
 def is_m_matrix(A: SquareMatrix) -> tuple[bool, np.ndarray | None]:
     """Nonsingular M-matrix test; returns (verdict, positive witness or None)."""
-    ok, witness, _ = _certify_m(A)
-    return ok, witness
-
-
-def _certify_h(
-    A: SquareMatrix, m_certificate: tuple | None = None
-) -> tuple[bool, np.ndarray | None, str | None]:
-    """H-matrix certificate: the M certificate of the comparison matrix.
-
-    A Z-matrix with nonnegative diagonal is its own comparison matrix, so its
-    M certificate, ``m_certificate`` when the caller already has it, is the
-    same solve on the same entries and is used as it is.
-    """
-    if is_z_matrix(A) and np.all(A.csr.diagonal() >= 0.0):
-        return m_certificate if m_certificate is not None else _certify_m(A)
-    return _certify_m(comparison_matrix(A))
+    witness = certify_m(A)[1]
+    return witness is not None, witness
 
 
 def is_h_matrix(A: SquareMatrix) -> bool:
     """True iff the comparison matrix is a nonsingular M-matrix."""
-    return _certify_h(A)[0]
+    return certify_m(comparison_matrix(A))[1] is not None
 
 
 def _spd_factor(A: SquareMatrix) -> np.ndarray | None:
@@ -382,11 +368,16 @@ def classify(A: SquareMatrix) -> ClassificationReport:
     sdd = is_sdd(A)
     z = is_z_matrix(A)
     l_ok = is_l_matrix(A)
-    m_certificate = _certify_m(A)
-    m_ok, m_witness, m_note = m_certificate
+    # the factor is dropped at once: the report keeps only the witness
+    m_witness, m_note = certify_m(A)[1:]
+    m_ok = m_witness is not None
     if m_note:
         notes.append(f"m: {m_note}")
-    h_ok, _, h_note = _certify_h(A, m_certificate)
+    # a Z-matrix with nonnegative diagonal is its own comparison matrix
+    h_ok, h_note = m_ok, m_note
+    if not (z and np.all(A.csr.diagonal() >= 0.0)):
+        h_witness, h_note = certify_m(comparison_matrix(A))[1:]
+        h_ok = h_witness is not None
     if h_note:
         notes.append(f"h (comparison matrix): {h_note}")
 

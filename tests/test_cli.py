@@ -373,6 +373,23 @@ class TestRho:
         assert "order 2070 exceeds dense limit 2000" in err
         assert "--power" in err
 
+    def test_dense_limit_is_checked_before_the_factorization(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_step ran before the order check")
+
+        monkeypatch.setattr(gsolve.cli, "build_step", refuse)
+        code, _, err = run_cli(capsys, "rho", "--pde", "g=zero", "n=46", "--method", "gj")
+        assert code == 2
+        assert "order 2070 exceeds dense limit 2000" in err
+        assert "--power" in err
+
+    def test_power_without_seed_is_deterministic(self, capsys):
+        argv = ("rho", "--pde", "g=zero", "n=20", "--method", "gsor", "--m", "1",
+                "--omega", "1.5", "--power")
+        first, second = (run_cli(capsys, *argv) for _ in range(2))
+        assert first[0] == second[0] == 0
+        assert first[1].startswith("rho: ") and first[1] == second[1]
+
     def test_half_bandwidth_beyond_order_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "rho", "--pde", "g=zero", "n=5", "--method", "gj", "--m", "99"

@@ -19,12 +19,14 @@ from gsolve import (
     build_step,
     classify,
     extract_splitting,
+    is_m_matrix,
+    is_z_matrix,
     iteration_matrix,
     predict,
     solve,
     spectral_radius,
 )
-from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _regular_factor
+from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, assemble
 
@@ -36,6 +38,21 @@ def _explicit_h(A, method, m, omega=None):
         warnings.simplefilter("ignore", RelaxationWarning)
         op = build_step(extract_splitting(A, m), method, omega)
         return iteration_matrix(op)
+
+
+def _zero_row_sum_laplacian(n):
+    """Tridiagonal [-1, 2, -1] with 1 in both corners: a singular Z-matrix."""
+    laplacian = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    laplacian[0, 0] = laplacian[-1, -1] = 1.0
+    return SquareMatrix.from_dense(laplacian)
+
+
+def _shifted_z_matrix(n, rng):
+    """s*I - B with B >= 0, zero diagonal, 0 < s < rho(B): a Z-matrix, not an M-matrix."""
+    b = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(b, 0.0)
+    s = float(np.max(np.abs(np.linalg.eigvals(b)))) * rng.uniform(0.3, 0.95)
+    return SquareMatrix.from_dense(s * np.eye(n) - b)
 
 
 def _no_convergence(*args, **kwargs):
@@ -219,10 +236,9 @@ class TestSpectralRadius:
             spectral_radius(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 2)), mode="magic")
-        with pytest.raises(TypeError):
-            spectral_radius(object(), mode="power")
-        with pytest.raises(ValueError, match="dimension"):
-            spectral_radius(lambda v: v, mode="power")
+        for target in (object(), lambda v: v):
+            with pytest.raises(TypeError, match="StepOperator"):
+                spectral_radius(target, mode="power")
 
     def test_power_matches_dense_on_separated_fixtures(self, lmat3, spd3):
         cases = [
@@ -241,21 +257,21 @@ class TestSpectralRadius:
 
     def test_power_on_nilpotent_operator(self):
         H = np.array([[0.0, 1.0], [0.0, 0.0]])
-        estimate = spectral_radius(lambda v: H @ v, mode="power", n=2, seed=0)
+        estimate = _operator_radius(lambda v: H @ v, 2, 0)
         assert estimate.value == 0.0
         assert estimate.reliable
 
     def test_power_flags_no_convergence(self, monkeypatch):
         monkeypatch.setattr(gsolve.engine, "eigs", _no_convergence)
         n = SMALL_ORDER + 10
-        estimate = spectral_radius(lambda v: 0.5 * v, mode="power", n=n, seed=0)
+        estimate = _operator_radius(lambda v: 0.5 * v, n, 0)
         assert not estimate.reliable
         assert estimate.error_bound == np.inf
 
     def test_power_handles_complex_dominant_pair(self):
         # rotation: eigenvalues +-i, modulus exactly 1, no real eigenpair
         H = np.array([[0.0, -1.0], [1.0, 0.0]])
-        estimate = spectral_radius(lambda v: H @ v, mode="power", n=2, seed=1)
+        estimate = _operator_radius(lambda v: H @ v, 2, 1)
         assert estimate.reliable
         assert estimate.value == pytest.approx(1.0, abs=1e-9)
 
@@ -332,6 +348,36 @@ class TestRegularSplittingRoute:
             assert estimate.reliable
             assert round(estimate.value, 6) == 0.999023
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(("m-matrix", "shifted z", "singular")),
+        st.integers(2, SMALL_ORDER),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gj", "ggs", "sor"]),
+        # above 1, N has a negative diagonal and the splitting is not regular
+        st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        st.data(),
+    )
+    def test_route_agrees_with_is_m_matrix(self, family, n, seed, method, omega, data):
+        rng = np.random.default_rng(seed)
+        if family == "m-matrix":
+            A = random_m_matrix(n, rng)
+        elif family == "shifted z":
+            A = _shifted_z_matrix(n, rng)
+        else:
+            A = _zero_row_sum_laplacian(n)
+        if method == "sor":
+            method, m = "gsor", 0
+        else:
+            # at m >= 1 the Laplacian's M is the singular A itself
+            top = 0 if family == "singular" else n - 1
+            m, omega = data.draw(st.integers(0, top), label="m"), None
+        op = build_step(extract_splitting(A, m), method, omega)
+        regular = (bool(np.all(op.n_part.data >= 0.0))
+                   and is_z_matrix(SquareMatrix.from_csr(op.m_part))
+                   and is_m_matrix(SquareMatrix.from_csr(op.m_part - op.n_part))[0])
+        assert (_regular_factor(op) is not None) == regular
+
     @staticmethod
     def _refusals(spd3):
         # Below omega_opt, where ARPACK's answer does not depend on its history.
@@ -342,11 +388,8 @@ class TestRegularSplittingRoute:
         dense[0, 7] = 0.5  # above the band of m = 1: N = upper gets one negative entry
         yield "negative N", build_step(extract_splitting(SquareMatrix.from_dense(dense), 1),
                                        "ggs")
-        n = 2 * SMALL_ORDER  # zero row sums: a singular Z-matrix
-        laplacian = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
-        laplacian[0, 0] = laplacian[-1, -1] = 1.0
-        yield "singular", build_step(extract_splitting(SquareMatrix.from_dense(laplacian), 0),
-                                     "ggs")
+        laplacian = _zero_row_sum_laplacian(2 * SMALL_ORDER)
+        yield "singular", build_step(extract_splitting(laplacian, 0), "ggs")
 
     def test_refusals_return_the_h_route_answer(self, spd3):
         with warnings.catch_warnings():
@@ -356,9 +399,7 @@ class TestRegularSplittingRoute:
         for name, op in refusals.items():
             assert _regular_factor(op) is None, name
             got = spectral_radius(op, mode="power", seed=5)
-            # a callable is always iterated as H
-            as_h = spectral_radius(lambda v: op.solve_m(op.n_part @ v), mode="power",
-                                   n=op.n, seed=5)
+            as_h = _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, 5)
             np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(as_h),
                                     err_msg=name)
         assert spectral_radius(refusals["spd3"], mode="power").value == pytest.approx(

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 import gsolve.matrices
 from gsolve import (
@@ -22,7 +22,7 @@ from gsolve import (
     is_z_matrix,
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
-from gsolve.matrices import positive_witness
+from gsolve.matrices import certify_m, positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
@@ -386,12 +386,27 @@ class TestClassify:
     @pytest.mark.parametrize("g", sorted(G_BUILTINS))
     def test_minimum_degree_witness_at_bench_n60(self, g):
         A = assemble(60, g, layout=LAYOUT_BENCH).A
-        with mock.patch.object(gsolve.matrices, "spsolve", wraps=spsolve) as spy:
+        with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as spy:
             ok, w = is_m_matrix(A)
         assert spy.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
         assert ok and np.all(w > 0) and np.all(A.csr @ w > 0)
         ref = spsolve(sp.csc_array(A.csr), np.ones(A.n), permc_spec="COLAMD")
         np.testing.assert_allclose(w, ref / np.abs(ref).max(), rtol=0, atol=1e-10)
+
+    def test_report_keeps_the_certificate_witness(self):
+        A = assemble(40, "zero", layout=LAYOUT_BENCH).A
+        lu, witness, note = certify_m(A)
+        assert lu is not None and note is None
+        np.testing.assert_array_equal(classify(A).m_witness, witness)
+
+    def test_certificate_returns_a_factor_only_when_certified(self, lmat3, spd3):
+        singular = SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
+        for A, note in ((spd3, "not a Z-matrix"), (singular, "singular"),
+                        (lmat3, "witness has nonpositive components")):
+            assert certify_m(A) == (None, None, note)
+        lu, witness, _ = certify_m(SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]))
+        np.testing.assert_array_equal(lu.solve(np.ones(2)), [1.0, 1.0])
+        np.testing.assert_array_equal(witness, [1.0, 1.0])
 
     def test_report_consistency(self, lmat3, spd3):
         for A in (lmat3, spd3, SquareMatrix.identity(4)):
