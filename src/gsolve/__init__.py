@@ -30,7 +30,6 @@ from .pde import LAYOUT_BENCH, LAYOUT_SQUARE, G_BUILTINS, PdeProblem, assemble
 from .solvers import (
     FactorizationError,
     Method,
-    RelaxationWarning,
     StepOperator,
     build_step,
     iteration_matrix,
@@ -52,7 +51,6 @@ __all__ = [
     "Method",
     "PdeProblem",
     "PowerEstimate",
-    "RelaxationWarning",
     "SolveReport",
     "SquareMatrix",
     "StepOperator",

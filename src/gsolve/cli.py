@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .engine import IterationConfig, predict, solve, spectral_radius
 from .matrices import DEFAULT_DENSE_LIMIT, SquareMatrix, classify, comparison_matrix, extract_splitting
 from .mmio import read_matrix, write_matrix, write_vector
 from .pde import LAYOUT_BENCH, LAYOUTS, assemble
-from .solvers import FactorizationError, Method, RelaxationWarning, build_step, iteration_matrix
+from .solvers import FactorizationError, Method, build_step, iteration_matrix
 
 #: Benchmark tables: reaction coefficient per table number.
 TABLE_G = {1: "xplusy", 2: "zero", 3: "expxy", 4: "negexp4xy"}
@@ -359,14 +358,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # The filter is scoped to this call, so in-process callers keep their own.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("once", category=RelaxationWarning)
-        try:
-            return _COMMANDS[args.command](args, sys.stdout)
-        except (CliError, ValueError, FactorizationError) as err:
-            print(f"gsolve: {err}", file=sys.stderr)
-            return 2
+    try:
+        return _COMMANDS[args.command](args, sys.stdout)
+    except (CliError, ValueError, FactorizationError) as err:
+        print(f"gsolve: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,9 @@ from .matrices import (
     extract_splitting,
     is_m_matrix,
     is_z_matrix,
+    positive_witness,
 )
-from .solvers import Method, RelaxationWarning, StepOperator, build_step
+from .solvers import Method, StepOperator, build_step
 
 #: A solve is declared divergent once the successive-difference norm exceeds
 #: this multiple of the first difference.
@@ -325,8 +325,10 @@ def predict(
     bandwidth; the same classes converge under GSOR for omega in (0, 1];
     an M-matrix also converges under overrelaxed GSOR whenever
     omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
-    ``report`` is A's :func:`classify` report when the caller already has
-    it; without one, A is classified here.  The SPD verdict plays no part.
+    Only here is it decided which omega a theorem covers; :func:`build_step`
+    accepts any finite nonzero omega.  ``report`` is A's :func:`classify`
+    report when the caller already has it; without one, A is classified
+    here.  The SPD verdict plays no part.
     The radius comes from :func:`spectral_radius` in power mode, so on a
     nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
     its regular-splitting route: ARPACK on A^{-1} N, whose Perron root tau
@@ -344,23 +346,28 @@ def predict(
         tags.extend(f"{cls}+{method.value.upper()}" for cls, ok in memberships if ok)
     elif omega is not None and 0.0 < omega <= 1.0:
         tags.extend(f"{cls}+GSOR(0<omega<=1)" for cls, ok in memberships if ok)
-    elif omega is not None and omega > 1.0 and report.is_m:
-        # A is an M-matrix, so band is one and lower, upper >= 0.  By the
-        # regular-splitting theorem (Varga, Thm 3.13), c*band - N with c > 0
-        # and N >= 0 is then a nonsingular M-matrix iff rho(band^{-1} N) < c:
-        #   N = lower + upper, c = 2/omega - 1:  omega < 2 / (1 + rho(H_GJ));
-        #   N = omega*lower,   c = 1:            rho(band^{-1} lower) < 1/omega.
-        # For omega >= 2 (c <= 0) no positive witness exists, as required.
-        band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
-        gj_margin = SquareMatrix.from_csr((2.0 / omega - 1.0) * band - lower - upper)
-        gsor_m_part = SquareMatrix.from_csr(band - omega * lower)
-        if is_m_matrix(gj_margin)[0] and is_m_matrix(gsor_m_part)[0]:
-            tags.append(TAG_OVERRELAXED_M)
+    # Overrelaxed GSOR on an M-matrix A: band is then one too, and lower,
+    # upper >= 0.  By the regular-splitting theorem (Varga, Thm 3.13),
+    # c*band - N with c > 0 and N >= 0 is a nonsingular M-matrix iff
+    # rho(band^{-1} N) < c:
+    #   N = lower + upper, c = 2/omega - 1:  omega < 2 / (1 + rho(H_GJ));
+    #   N = omega*lower,   c = 1:            rho(band^{-1} lower) < 1/omega.
+    # For omega >= 2 (c <= 0) no positive witness exists, as required.  The
+    # second matrix is GSOR's M part, a Z-matrix here, certified through the
+    # step operator's own factor; the margin is certified first, so its LU is
+    # freed before the operator's is made.
+    overrelaxed = (
+        method is Method.GSOR and omega > 1.0 and report.is_m
+        and is_m_matrix(SquareMatrix.from_csr(
+            (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
+            - splitting.upper.csr))[0]
+    )
+    op = build_step(splitting, method, omega)
+    if overrelaxed and positive_witness(SquareMatrix.from_csr(op.m_part),
+                                        op.solve_m(np.ones(op.n)))[0] is not None:
+        tags.append(TAG_OVERRELAXED_M)
 
     guaranteed = bool(tags)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RelaxationWarning)
-        op = build_step(splitting, method, omega)
     estimate = spectral_radius(op, mode="power")
     if estimate.reliable:
         rho, predicted = estimate.value, bool(estimate.value < 1.0)

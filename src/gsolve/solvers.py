@@ -23,7 +23,6 @@ the methods reduce to classical Jacobi, Gauss-Seidel, and SOR.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,10 +52,6 @@ class Method(str, Enum):
 
 class FactorizationError(RuntimeError):
     """The M part of a splitting could not be factorized (singular)."""
-
-
-class RelaxationWarning(UserWarning):
-    """Relaxation factor outside the range covered by a convergence theorem."""
 
 
 class TridiagonalLDLT:
@@ -173,7 +168,6 @@ class StepOperator:
 
     method: Method
     n: int
-    omega: float | None
     m_part: sp.csr_array
     n_part: sp.csr_array
     rhs_scale: float
@@ -220,10 +214,9 @@ def build_step(
     for a block of order b; dissection leaves O(b log b) of them.  A
     singular M raises :class:`FactorizationError`.
 
-    GSOR requires a finite omega != 0.  Any omega in (0, 1] is covered by
-    at least one convergence theorem for suitable matrix classes; other
-    values are accepted (the classical necessary condition |omega - 1| < 1
-    is not enforced) but flagged with a :class:`RelaxationWarning`.
+    GSOR requires a finite omega != 0; any such omega is accepted.  Which
+    omega a convergence theorem covers on which matrix class is decided by
+    :func:`~gsolve.engine.predict` (its ``guarantee_source``).
     """
     method = Method.parse(method)
     band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
@@ -234,17 +227,10 @@ def build_step(
         omega = float(omega)
         if omega == 0.0 or not np.isfinite(omega):
             raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
-        if not 0.0 < omega <= 1.0:
-            warnings.warn(
-                f"omega={omega} is outside (0, 1]; no convergence theorem applies",
-                RelaxationWarning,
-                stacklevel=2,
-            )
         m_part = sp.csr_array(band - omega * lower)
         n_part = sp.csr_array((1.0 - omega) * band + omega * upper)
         rhs_scale = omega
     else:
-        omega = None
         if method is Method.GJ:
             m_part, n_part = band, sp.csr_array(lower + upper)
         else:  # GGS
@@ -267,7 +253,6 @@ def build_step(
     return StepOperator(
         method=method,
         n=splitting.n,
-        omega=omega,
         m_part=m_part,
         n_part=n_part,
         rhs_scale=rhs_scale,

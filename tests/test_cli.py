@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,19 @@ class TestClassify:
             else:
                 assert got_line == want_line
 
+    def test_overrelaxed_predict_at_bench_n40(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--pde", "g=zero", "n=40",
+            "--predict", "gsor", "--m", "1", "--omega", "1.001",
+        )
+        assert code == 0
+        assert out.splitlines()[-4:] == [
+            "predict: method=gsor m=1 omega=1.001",
+            "guaranteed: true (M+GSOR(overrelaxed))",
+            "rho: 0.988014",
+            "predicted_converges: true",
+        ]
+
     def test_spd_undetermined_above_dense_limit(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--pde", "g=zero", "n=46")
         assert code == 0
@@ -485,3 +502,19 @@ def test_main_leaves_the_warning_filters_as_it_found_them(capsys, fixtures_dir):
     )
     assert code == 0
     assert warnings.filters == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--pde", "g=zero", "n=10", "--method", "sor,gsor", "--m", "1", "--omega", "1.5"],
+    ["table", "2", "--format", "csv"],
+], ids=["run-overrelaxed", "table-2"])
+def test_console_run_writes_nothing_to_stderr(argv):
+    # A fresh interpreter with Python's default warning filters, as a shell user gets.
+    src = str(Path(gsolve.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "gsolve.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0
+    assert done.stdout
+    assert done.stderr == ""

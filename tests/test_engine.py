@@ -1,20 +1,20 @@
 import dataclasses
 import time
-import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import gsolve.engine
+import gsolve.matrices
+import gsolve.solvers
 from gsolve import (
     IterationConfig,
     Method,
     PowerEstimate,
-    RelaxationWarning,
     SquareMatrix,
     build_step,
     classify,
@@ -29,15 +29,13 @@ from gsolve import (
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, assemble
+from gsolve.solvers import TridiagonalLDLT
 
 GENERATORS = (random_sdd_matrix, random_m_matrix, random_h_matrix)
 
 
 def _explicit_h(A, method, m, omega=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RelaxationWarning)
-        op = build_step(extract_splitting(A, m), method, omega)
-        return iteration_matrix(op)
+    return iteration_matrix(build_step(extract_splitting(A, m), method, omega))
 
 
 def _zero_row_sum_laplacian(n):
@@ -93,11 +91,9 @@ class TestSolve:
     def test_reference_iteration_counts(self):
         # reproduction grid, stopping rule ||dx||_2 <= 1e-7 from the zero vector
         problem = assemble(20, "xplusy", layout=LAYOUT_BENCH)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            report = solve(problem.A, problem.b,
-                           IterationConfig("gsor", m=1, omega=1.5),
-                           x_exact=problem.x_exact)
+        report = solve(problem.A, problem.b,
+                       IterationConfig("gsor", m=1, omega=1.5),
+                       x_exact=problem.x_exact)
         assert report.converged
         assert report.iterations == 105
 
@@ -118,10 +114,8 @@ class TestSolve:
         problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)
         A, b = problem.A, problem.b
         config = IterationConfig(method, m=m, omega=omega)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            report = solve(A, b, config)
-            op = build_step(extract_splitting(A, m), method, omega)
+        report = solve(A, b, config)
+        op = build_step(extract_splitting(A, m), method, omega)
         x = np.zeros(A.n)
         for k in range(1, config.max_iter + 1):
             x_next = op.apply(x, b)
@@ -296,9 +290,7 @@ class TestSpectralRadius:
         if method != "gsor":
             omega = None
         want = spectral_radius(_explicit_h(A, method, m, omega))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            op = build_step(extract_splitting(A, m), method, omega)
+        op = build_step(extract_splitting(A, m), method, omega)
         estimate = spectral_radius(op, mode="power", seed=seed)
         scale = max(want, 1.0)
         if estimate.reliable:
@@ -392,9 +384,7 @@ class TestRegularSplittingRoute:
         yield "singular", build_step(extract_splitting(laplacian, 0), "ggs")
 
     def test_refusals_return_the_h_route_answer(self, spd3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RelaxationWarning)
-            refusals = dict(self._refusals(spd3))
+        refusals = dict(self._refusals(spd3))
         assert refusals["negative N"].n_part.data.min() < 0
         for name, op in refusals.items():
             assert _regular_factor(op) is None, name
@@ -457,6 +447,34 @@ class TestPredict:
                 assert verdict.rho_estimate < 1.0
             else:
                 assert TAG_OVERRELAXED_M not in verdict.guarantee_source
+
+    def test_overrelaxed_m_part_certified_through_the_ldlt_factor(self):
+        # Symmetric tridiagonal at m = 1: lower is empty, M = band = A gets
+        # the LDL^T factor, and the margin (2/omega - 1) A is an M-matrix
+        # exactly for omega < 2.
+        n = 30
+        A = SquareMatrix.from_dense(4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        report = classify(A)
+        for omega, covered in ((1.2, True), (1.9, True), (2.0, False)):
+            assert isinstance(build_step(extract_splitting(A, 1), "gsor", omega).lu,
+                              TridiagonalLDLT)
+            with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as margin_spy, \
+                    mock.patch.object(gsolve.solvers, "splu", wraps=splu) as m_spy:
+                verdict = predict(A, IterationConfig("gsor", m=1, omega=omega), report=report)
+            assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == covered, omega
+            assert margin_spy.call_count == 1 and m_spy.call_count == 0
+            assert verdict.rho_estimate == pytest.approx(abs(omega - 1.0), abs=1e-12)
+
+    def test_overrelaxed_certificate_factorizes_the_margin_only(self):
+        A = assemble(40, "zero", layout=LAYOUT_BENCH).A
+        report = classify(A)
+        with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as margin_spy, \
+                mock.patch.object(gsolve.solvers, "splu", wraps=splu) as m_spy:
+            verdict = predict(A, IterationConfig("gsor", m=1, omega=1.001), report=report)
+        assert TAG_OVERRELAXED_M in verdict.guarantee_source
+        specs = [c.kwargs["permc_spec"] for c in
+                 margin_spy.call_args_list + m_spy.call_args_list]
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 11), st.integers(0, 2**32 - 1), st.floats(1.0, 2.2,

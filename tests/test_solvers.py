@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +9,6 @@ from gsolve import (
     FactorizationError,
     IterationConfig,
     Method,
-    RelaxationWarning,
     SquareMatrix,
     build_step,
     extract_splitting,
@@ -40,10 +37,8 @@ def fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
-def build_quietly(A, method, m, omega=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RelaxationWarning)
-        return build_step(extract_splitting(A, m), method, omega)
+def build_at(A, method, m, omega=None):
+    return build_step(extract_splitting(A, m), method, omega)
 
 
 def classical_iteration_matrix(dense, method, omega=None):
@@ -78,20 +73,6 @@ class TestBuildStep:
         s = extract_splitting(SquareMatrix.from_dense(np.eye(3) * 4.0 - 1.0), m)
         with pytest.raises(ValueError, match="finite"):
             build_step(s, "gsor", omega)
-
-    def test_omega_warning_outside_unit_interval(self, spd3):
-        s = extract_splitting(spd3, 1)
-        with pytest.warns(RelaxationWarning):
-            build_step(s, "gsor", 1.5)
-        with pytest.warns(RelaxationWarning):
-            build_step(s, "gsor", 2.5)
-        with pytest.warns(RelaxationWarning):
-            build_step(s, "gsor", -0.3)
-
-    def test_no_warning_inside_unit_interval(self, spd3, recwarn):
-        build_step(extract_splitting(spd3, 1), "gsor", 0.8)
-        build_step(extract_splitting(spd3, 1), "gsor", 1.0)
-        assert not [w for w in recwarn if issubclass(w.category, RelaxationWarning)]
 
     def test_singular_m_part_reports_method_and_bandwidth(self):
         A = SquareMatrix.from_dense([[0.0, 1.0], [1.0, 1.0]])
@@ -208,13 +189,11 @@ class TestIterationMatrix:
             A = SquareMatrix.from_dense(dense)
             s = extract_splitting(A, 0)
             omega = rng.uniform(0.2, 1.8)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RelaxationWarning)
-                cases = [
-                    ("gj", None, build_step(s, "gj")),
-                    ("ggs", None, build_step(s, "ggs")),
-                    ("gsor", omega, build_step(s, "gsor", omega)),
-                ]
+            cases = [
+                ("gj", None, build_step(s, "gj")),
+                ("ggs", None, build_step(s, "ggs")),
+                ("gsor", omega, build_step(s, "gsor", omega)),
+            ]
             for name, om, op in cases:
                 got = iteration_matrix(op)
                 want = classical_iteration_matrix(dense, name, om)
@@ -227,8 +206,7 @@ class TestIterationMatrix:
             for _ in range(5):
                 n = int(rng.integers(2, 8))
                 A = SquareMatrix.from_dense(random_strong_diag(rng, n))
-                with pytest.warns(RelaxationWarning):
-                    op = build_step(extract_splitting(A, 0), "gsor", omega)
+                op = build_step(extract_splitting(A, 0), "gsor", omega)
                 rho = spectral_radius(iteration_matrix(op))
                 assert rho >= abs(omega - 1.0) - 1e-12
 
@@ -346,18 +324,18 @@ class TestOrdering:
 
     @pytest.mark.parametrize("method, m, omega", [("gsor", 0, 1.5)])
     def test_natural_order_where_it_adds_no_fill(self, bench100, method, m, omega):
-        op = build_quietly(bench100, method, m, omega)
+        op = build_at(bench100, method, m, omega)
         np.testing.assert_array_equal(op.lu.perm_c, np.arange(bench100.n))
         assert fill(op.lu) == fill(natural_lu(op))
 
     def test_ldlt_factor_for_gj_at_m_one(self, bench100):
-        op = build_quietly(bench100, "gj", 1)
+        op = build_at(bench100, "gj", 1)
         assert isinstance(op.lu, TridiagonalLDLT)
         assert fill(op.lu) == fill(natural_lu(op))
 
     @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
     def test_fill_reducing_order_for_ggs_and_gsor(self, bench100, method, omega):
-        op = build_quietly(bench100, method, 1, omega)
+        op = build_at(bench100, method, 1, omega)
         assert isinstance(op.lu, PermutedLU)
         mmd = splu(sp.csc_matrix(op.m_part), permc_spec="MMD_AT_PLUS_A")
         assert fill(op.lu) <= 0.6 * fill(mmd)
@@ -367,7 +345,7 @@ class TestOrdering:
         # the band of the bench grid holds only the tridiagonal line entries,
         # so m = 2 and m = 20 split off the same M as m = 1
         A = assemble(40, "negexp4xy", layout=LAYOUT_BENCH).A
-        fills = {fill(build_quietly(A, method, m, omega).lu)
+        fills = {fill(build_at(A, method, m, omega).lu)
                  for m in (1, 2, 20) for method, omega in (("ggs", None), ("gsor", 1.5))}
         assert len(fills) == 1
 
@@ -390,7 +368,7 @@ class TestOrdering:
     @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
     def test_iteration_matrix_matches_dense(self, method, omega):
         A = assemble(20, "negexp4xy", layout=LAYOUT_BENCH).A  # order 380
-        op = build_quietly(A, method, 1, omega)
+        op = build_at(A, method, 1, omega)
         assert isinstance(op.lu, PermutedLU)
         dense_m = op.m_part.toarray()
         want = np.linalg.solve(dense_m, op.n_part.toarray())
@@ -399,7 +377,7 @@ class TestOrdering:
 
     def test_factor_is_lu_of_the_permuted_m_without_pivoting(self):
         A = assemble(20, "negexp4xy", layout=LAYOUT_BENCH).A
-        op = build_quietly(A, "gsor", 1, 1.9)
+        op = build_at(A, "gsor", 1, 1.9)
         np.testing.assert_array_equal(op.lu.lu.perm_r, np.arange(A.n))
         want = op.m_part.toarray()[np.ix_(op.lu.perm, op.lu.perm)]
         np.testing.assert_allclose((op.lu.L @ op.lu.U).toarray(), want, rtol=0,
@@ -412,10 +390,8 @@ class TestOrdering:
         for method, m, omega in (("gsor", 0, 1.9), ("gsor", 1, 1.9), ("ggs", 1, None),
                                  ("gj", 1, None)):
             config = IterationConfig(method, m=m, omega=omega)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RelaxationWarning)
-                report = solve(A, b, config)
-            op = build_quietly(A, method, m, omega)
+            report = solve(A, b, config)
+            op = build_at(A, method, m, omega)
             reference = natural_lu(op)
             x = np.zeros(A.n)
             for k in range(1, config.max_iter + 1):
@@ -446,7 +422,7 @@ class TestOrdering:
         dense_m = s.band.to_dense() - lower_scale * s.lower.to_dense()
         cond = np.linalg.cond(dense_m)
         assume(cond < 1e10)
-        op = build_quietly(A, method, m, omega if method == "gsor" else None)
+        op = build_at(A, method, m, omega if method == "gsor" else None)
         v = rng.standard_normal(n)
         want = np.linalg.solve(dense_m, v)
         got = op.solve_m(v)
