@@ -325,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--m", type=int, default=1)
     p_rho.add_argument("--omega", type=float, default=None)
     p_rho.add_argument("--power", action="store_true",
-                       help="ARPACK on the implicit operator instead of dense eigenvalues")
+                       help="no order limit; ARPACK above order 200, dense up to it")
     p_rho.add_argument("--seed", type=int, default=0,
                        help="start-vector seed for --power (default 0)")
 

@@ -1,16 +1,15 @@
 """Full iterative solves, spectral radius, and convergence prediction.
 
 The spectral radius of an iteration matrix H = M^{-1} N has two paths:
-dense eigenvalues of an explicit matrix (the reference, for orders within
-the dense limit) and one operator path that never forms H, ARPACK (Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  ARPACK iterates
-x -> M^{-1} N x, except on a certified regular splitting A = M - N of a
-nonsingular M-matrix (N >= 0, M and A Z-matrices, a positive witness for
-A), where it iterates x -> A^{-1} N x and maps its Perron root tau to
-rho(H) = tau / (1 + tau) (Varga, Matrix Iterative Analysis, 2nd ed.,
-Springer 2000, Thm 3.13): the map spreads a radius crowded near 1 away
-from the rest of the spectrum.  ``predict`` uses the operator path at every
-order and decides the overrelaxed-GSOR theorem by M-matrix certificates,
+dense eigenvalues of an explicit H, which a step operator of order up to
+``SMALL_ORDER`` forms, and ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users'
+Guide, SIAM 1998) above that order.  ARPACK iterates x -> M^{-1} N x,
+except on a certified regular splitting A = M - N of a nonsingular M-matrix
+(N >= 0, M and A Z-matrices, a positive witness for A), where it iterates
+x -> A^{-1} N x and maps its Perron root tau to rho(H) = tau / (1 + tau)
+(Varga, Matrix Iterative Analysis, 2nd ed., Springer 2000, Thm 3.13): the
+map spreads a radius crowded near 1 away from the rest of the spectrum.
+``predict`` decides the overrelaxed-GSOR theorem by M-matrix certificates,
 which need no eigenvalues.
 """
 
@@ -33,7 +32,7 @@ from .matrices import (
     is_z_matrix,
     positive_witness,
 )
-from .solvers import Method, StepOperator, build_step
+from .solvers import Method, StepOperator, build_step, iteration_matrix
 
 #: A solve is declared divergent once the successive-difference norm exceeds
 #: this multiple of the first difference.
@@ -58,8 +57,8 @@ class IterationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.parse(self.method))
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.m < 0:
@@ -163,23 +162,26 @@ def solve(
 
 # -- spectral radius ----------------------------------------------------
 
-#: Up to this order the operator radius comes from dense eigenvalues of the
-#: explicit H: ARPACK needs order >= 3, and up to here its default Krylov
-#: space of 20 vectors spans the whole space anyway.
-SMALL_ORDER = 20
+#: Up to this order a step operator's radius is the dense one of its H.  Bench
+#: zero grid, GSOR m = 1, omega = 1.5, one BLAS thread: dense takes 0.3, 3.6 and
+#: 7.6 ms at orders 30, 90 and 132, where ARPACK fails on some or all of seeds
+#: 0-2; at orders 210 and 380 dense takes 26 and 82 ms, ARPACK 5-7 ms.
+SMALL_ORDER = 200
 
 
 @dataclass(frozen=True)
 class PowerEstimate:
     """Operator spectral radius of H = M^{-1} N with its evidence.
 
-    ``value`` is |lambda| of the dominant eigenpair (lambda, v), ||v|| = 1,
-    and ``error_bound`` is its residual ||H v - lambda v||, computed with H
-    on either route of :func:`spectral_radius`.  When ARPACK does not
-    converge, ``reliable`` is False, ``value`` is NaN and ``error_bound`` is
-    infinite.  ``steps`` counts applications of the operator the eigen-solve
-    iterated (A^{-1} N on a certified regular splitting, H otherwise) plus
-    the 2 applications of H in the residual.
+    Up to order ``SMALL_ORDER``, ``value`` is the dense radius of H,
+    ``error_bound`` the backward error eps * ||H||_1 of LAPACK's eigenvalue
+    bounds (LAPACK Users' Guide, 3rd ed., sec. 4.8) and ``steps`` the order.
+    Above it, ``value`` is |lambda| of ARPACK's dominant eigenpair (lambda,
+    v), ||v|| = 1, and ``error_bound`` its residual ||H v - lambda v||; if
+    ARPACK does not converge, ``reliable`` is False, ``value`` NaN and
+    ``error_bound`` infinite.  ``steps`` then counts applications of the
+    operator ARPACK iterated (A^{-1} N on a certified regular splitting, H
+    otherwise) plus the 2 applications of H in the residual.
     """
 
     value: float
@@ -205,7 +207,7 @@ def _regular_factor(op: StepOperator) -> SuperLU | None:
 
 
 def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEstimate:
-    """Dominant eigenpair of H by ARPACK (dense below ``SMALL_ORDER``).
+    """Dominant eigenpair of H by ARPACK.
 
     With ``apply_regular`` (x -> A^{-1} N x of a certified regular
     splitting) the eigen-solve runs on that operator instead, and its
@@ -222,23 +224,13 @@ def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEst
         return call
 
     iterated = counted(apply_h if apply_regular is None else apply_regular)
-    if n <= SMALL_ORDER:
-        T = np.column_stack([iterated(e) for e in np.eye(n)])
-        lams = np.linalg.eigvals(T)
-        lam = lams[int(np.argmax(np.abs(lams)))]
-        # LAPACK geev balances T, and where a column of T is near zero (SOR
-        # at omega = 1 - eps puts 1e-16 on N's diagonal) its eigenvectors
-        # come back with residuals near 1e-10.  The right singular vector of
-        # T - lam I for its least singular value has the least residual.
-        v = np.linalg.svd(T - lam * np.eye(n))[2][-1].conj()
-    else:
-        op = LinearOperator((n, n), matvec=iterated, dtype=np.float64)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        try:
-            lams, vecs = eigs(op, k=1, which="LM", v0=v0)
-        except ArpackNoConvergence:
-            return PowerEstimate(float("nan"), np.inf, False, steps)
-        lam, v = lams[0], vecs[:, 0]
+    op = LinearOperator((n, n), matvec=iterated, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        lams, vecs = eigs(op, k=1, which="LM", v0=v0)
+    except ArpackNoConvergence:
+        return PowerEstimate(float("nan"), np.inf, False, steps)
+    lam, v = lams[0], vecs[:, 0]
     if apply_regular is not None:
         # An eigenvalue mu != tau with |mu| = tau would give H the eigenvalue
         # mu / (1 + mu), of modulus above tau / (1 + tau) = rho(H); so mu is tau.
@@ -256,19 +248,20 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
     or ndarray); returns a float from a dense eigenvalue computation.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
-    x -> M^{-1} N x); returns a :class:`PowerEstimate`.  ARPACK finds the
-    dominant eigenpair from the start vector drawn with ``seed``, 0 unless
-    given, so every call is deterministic.  Orders up to ``SMALL_ORDER`` use
-    dense eigenvalues of the operator applied to the identity, and an
-    operator with an empty N part has radius 0.
+    x -> M^{-1} N x); returns a :class:`PowerEstimate`.  An empty N part
+    gives radius 0.  Up to order ``SMALL_ORDER`` the radius is the dense one
+    of ``iteration_matrix(target)``; above it ARPACK finds the dominant
+    eigenpair from the start vector drawn with ``seed``, 0 unless given, so
+    every call is deterministic.
 
-    A step operator whose splitting A = M - N is certified regular (N >= 0,
-    M a Z-matrix, and A = M - N certified by :func:`certify_m`, whose sparse
-    LU of A is reused) is handled through A^{-1} N >= 0 instead: its Perron
-    root tau is its largest-modulus eigenvalue, and rho(H) = tau / (1 + tau)
-    (Varga, Thm 3.13).  That covers GJ and GGS at every m and SOR (GSOR at
-    m = 0) at omega <= 1 on nonsingular M-matrices.  The residual is
-    still taken with H.  Every other operator is iterated as H.
+    Above ``SMALL_ORDER``, a step operator whose splitting A = M - N is
+    certified regular (N >= 0, M a Z-matrix, and A = M - N certified by
+    :func:`certify_m`, whose sparse LU of A is reused) is handled through
+    A^{-1} N >= 0 instead: its Perron root tau is its largest-modulus
+    eigenvalue, and rho(H) = tau / (1 + tau) (Varga, Thm 3.13).  That covers
+    GJ and GGS at every m and SOR (GSOR at m = 0) at omega <= 1 on
+    nonsingular M-matrices.  The residual is still taken with H.  Every
+    other operator is iterated as H.
     """
     if mode == "dense":
         if isinstance(target, SquareMatrix):
@@ -284,6 +277,10 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
         op = target
         if op.n_part.nnz == 0:
             return PowerEstimate(0.0, 0.0, True, 0)
+        if op.n <= SMALL_ORDER:
+            H = iteration_matrix(op)
+            bound = np.finfo(np.float64).eps * float(np.linalg.norm(H, 1))
+            return PowerEstimate(spectral_radius(H), bound, True, op.n)
         lu = _regular_factor(op)
         apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
         return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
@@ -329,10 +326,10 @@ def predict(
     accepts any finite nonzero omega.  ``report`` is A's :func:`classify`
     report when the caller already has it; without one, A is classified
     here.  The SPD verdict plays no part.
-    The radius comes from :func:`spectral_radius` in power mode, so on a
-    nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
-    its regular-splitting route: ARPACK on A^{-1} N, whose Perron root tau
-    gives rho = tau / (1 + tau) (Varga, Thm 3.13).
+    The radius comes from :func:`spectral_radius` in power mode, so above
+    ``SMALL_ORDER`` on a nonsingular M-matrix, GJ and GGS at every m and SOR
+    at omega <= 1 take its regular-splitting route: ARPACK on A^{-1} N, whose
+    Perron root tau gives rho = tau / (1 + tau) (Varga, Thm 3.13).
     """
     if report is None:
         report = classify(A)

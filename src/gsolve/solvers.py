@@ -166,7 +166,6 @@ class StepOperator:
     are safe.
     """
 
-    method: Method
     n: int
     m_part: sp.csr_array
     n_part: sp.csr_array
@@ -251,7 +250,6 @@ def build_step(
             ) from err
 
     return StepOperator(
-        method=method,
         n=splitting.n,
         m_part=m_part,
         n_part=n_part,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -120,11 +121,38 @@ class TestRun:
         )
         assert code == 2
         assert "omega" in err
+        code, out, err = run_cli(capsys, "run", "--pde", "g=zero", "n=4", "--method", "sor")
+        assert (code, out) == (2, "")
+        assert "method sor needs --omega" in err
+
+    def test_markdown_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--pde", "g=zero", "n=4", "--method", "gj,sor",
+            "--omega", "1.5", "--format", "markdown",
+        )
+        assert code == 0
+        header, rule, *rows = out.splitlines()
+        assert header == "| " + " | ".join(gsolve.cli.RUN_FIELDS) + " |"
+        assert rule == "|" + "---|" * len(gsolve.cli.RUN_FIELDS)
+        cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+        assert [(c[1], c[6]) for c in cells] == [("gj", "true"), ("sor", "true")]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--mtx", "no-such.mtx", "--method", "gj")
         assert code == 2
         assert "cannot read" in err
+
+    def test_complex_matrix_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "complex.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate complex general\n"
+            "2 2 2\n"
+            "1 1 1.0 0.5\n"
+            "2 2 1.0 0.0\n"
+        )
+        code, out, err = run_cli(capsys, "run", "--mtx", str(path), "--method", "gj")
+        assert (code, out) == (2, "")
+        assert "unsupported field 'complex', need real data" in err
 
     def test_factorization_failure_keeps_csv_parseable(self, capsys, tmp_path):
         path = tmp_path / "hollow.mtx"
@@ -152,6 +180,12 @@ class TestRun:
         )
         assert code == 2
         assert "unknown keys" in err
+        code, _, err = run_cli(capsys, "run", "--pde", "g=zero", "n4", "--method", "gj")
+        assert code == 2
+        assert "--pde expects key=value tokens, got 'n4'" in err
+        code, _, err = run_cli(capsys, "run", "--pde", "g=zero", "n=4.5", "--method", "gj")
+        assert code == 2
+        assert "--pde n must be an integer, got '4.5'" in err
 
     def test_unknown_g_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--pde", "g=cubed", "n=5", "--method", "gj")
@@ -163,6 +197,7 @@ class TestRun:
         ("--omega", "inf", "omega must be finite"),
         ("--omega", "-inf", "omega must be finite"),
         ("--tol", "nan", "tol must be positive"),
+        ("--tol", "inf", "tol must be positive and finite"),
     ])
     def test_non_finite_parameters_are_usage_errors(self, capsys, option, value, message):
         code, out, err = run_cli(
@@ -293,6 +328,17 @@ class TestClassify:
         assert "M+GSOR(0<omega<=1)" in out
         assert "predicted_converges: true" in out
 
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_predict_past_omega_opt_on_small_grids(self, capsys, n):
+        # Past omega_opt every GSOR eigenvalue has modulus omega - 1 = 0.5.
+        source = ("--pde", "g=zero", f"n={n}", "--m", "1", "--omega", "1.5")
+        code, out, _ = run_cli(capsys, "classify", *source, "--predict", "gsor")
+        assert code == 0
+        assert "rho: 0.5\npredicted_converges: true\n" in out
+        code, out, _ = run_cli(capsys, "rho", *source, "--method", "gsor", "--power")
+        assert code == 0
+        assert out.startswith("rho: 0.5 mode=power reliable=yes ")
+
     def test_predict_classifies_once(self, capsys, monkeypatch):
         calls = []
 
@@ -347,7 +393,24 @@ class TestClassify:
         assert "note: spd: undetermined, order 2070 exceeds dense limit 2000" in out
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: A README gallery line: ``gsolve rho --mtx <file> <options>   # <printed value>``.
+README_RHO_LINE = re.compile(r"^gsolve (rho --mtx .*?)\s+# (\S+)$")
+
+
 class TestRho:
+    def test_readme_gallery_values(self, capsys, monkeypatch):
+        cases = [(match[1].split(), match[2]) for match in
+                 map(README_RHO_LINE.match, README.read_text().splitlines()) if match]
+        assert len(cases) == 8
+        monkeypatch.chdir(README.parent)  # the lines name fixtures/ relative to the repo
+        for argv, value in cases:
+            assert run_cli(capsys, *argv) == (0, f"rho: {value} mode=dense reliable=yes\n",
+                                              ""), argv
+            code, out, _ = run_cli(capsys, *argv, "--power")
+            assert code == 0, argv
+            assert out.startswith(f"rho: {value} mode=power reliable=yes "), (argv, out)
+
     def test_dense_fixture_value(self, capsys, fixtures_dir):
         code, out, _ = run_cli(
             capsys, "rho", "--mtx", str(fixtures_dir / "lmat3.mtx"),
