@@ -179,12 +179,10 @@ def _cmd_table(args, out) -> int:
             print(f"## Table {number}: g = {g_id} "
                   f"(m={args.m}, omega={args.omega}, tol={_fmt(args.tol)})", file=out)
             print("", file=out)
-            header = ["n"] + [c.upper() for c in TABLE_COLUMNS]
-            print("| " + " | ".join(header) + " |", file=out)
-            print("|" + "---:|" * len(header), file=out)
+        grid = []
         for n in TABLE_SIZES:
             problem = assemble(n, g_id, layout=args.layout)
-            reports = []
+            shown = []
             for column in TABLE_COLUMNS:
                 _, method, m, omega = _method_plan(column, args.m, args.omega)
                 config = IterationConfig(
@@ -192,13 +190,12 @@ def _cmd_table(args, out) -> int:
                 )
                 report = solve(problem.A, problem.b, config, x_exact=problem.x_exact)
                 all_converged = all_converged and report.converged
-                reports.append(report)
+                shown.append(f"{report.iterations}({report.elapsed_seconds:.2f})")
                 rows.append((number, g_id, n, column, m, omega, report.iterations,
                              report.elapsed_seconds, report.converged))
-            if markdown:
-                shown = [f"{r.iterations}({r.elapsed_seconds:.2f})" for r in reports]
-                print(f"| {n} | " + " | ".join(shown) + " |", file=out)
+            grid.append((n, *shown))
         if markdown:
+            _emit_records(("n", *(c.upper() for c in TABLE_COLUMNS)), grid, "markdown", out)
             print("", file=out)
     if not markdown:
         _emit_records(TABLE_FIELDS, rows, args.format, out)
@@ -360,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
-    except (CliError, ValueError, FactorizationError) as err:
+    except (CliError, ValueError, FactorizationError, OSError) as err:
         print(f"gsolve: {err}", file=sys.stderr)
         return 2
 

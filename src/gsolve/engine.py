@@ -9,15 +9,15 @@ except on a certified regular splitting A = M - N of a nonsingular M-matrix
 x -> A^{-1} N x and maps its Perron root tau to rho(H) = tau / (1 + tau)
 (Varga, Matrix Iterative Analysis, 2nd ed., Springer 2000, Thm 3.13): the
 map spreads a radius crowded near 1 away from the rest of the spectrum.
-``predict`` decides the overrelaxed-GSOR theorem by M-matrix certificates,
-which need no eigenvalues.
+``predict`` decides the overrelaxed-GSOR theorem by one M-matrix
+certificate, which needs no eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigs
@@ -30,7 +30,6 @@ from .matrices import (
     extract_splitting,
     is_m_matrix,
     is_z_matrix,
-    positive_witness,
 )
 from .solvers import Method, StepOperator, build_step, iteration_matrix
 
@@ -297,7 +296,8 @@ TAG_OVERRELAXED_M = "M+GSOR(overrelaxed)"
 class ConvergenceVerdict:
     """Outcome of matching (matrix class, method, omega) against the theorems.
 
-    ``guaranteed`` means at least one convergence theorem applies.
+    ``guarantee_source`` tags each convergence theorem that applies, and
+    ``guaranteed`` is derived from it: True iff at least one does.
     ``rho_estimate`` is the operator spectral radius of the iteration
     matrix (see :class:`PowerEstimate`), at any order, and ``None`` when
     ARPACK did not converge.  ``predicted_converges`` is ``rho < 1`` when
@@ -306,9 +306,12 @@ class ConvergenceVerdict:
     """
 
     rho_estimate: float | None
-    guaranteed: bool
-    guarantee_source: tuple[str, ...] = field(default_factory=tuple)
+    guarantee_source: tuple[str, ...] = ()
     predicted_converges: bool | None = None
+
+    @property
+    def guaranteed(self) -> bool:
+        return bool(self.guarantee_source)
 
 
 def predict(
@@ -321,7 +324,8 @@ def predict(
     Guarantees: SDD, M, and H matrices converge under GJ and GGS for any
     bandwidth; the same classes converge under GSOR for omega in (0, 1];
     an M-matrix also converges under overrelaxed GSOR whenever
-    omega < 2 / (1 + rho(H_GJ)) and rho(band^{-1} lower) < 1 / omega.
+    omega < 2 / (1 + rho(H_GJ)), decided by one M-matrix certificate; the
+    theorem's other condition, rho(band^{-1} lower) < 1 / omega, follows.
     Only here is it decided which omega a theorem covers; :func:`build_step`
     accepts any finite nonzero omega.  ``report`` is A's :func:`classify`
     report when the caller already has it; without one, A is classified
@@ -341,39 +345,31 @@ def predict(
     memberships = (("SDD", report.is_sdd), ("M", report.is_m), ("H", report.is_h))
     if method in (Method.GJ, Method.GGS):
         tags.extend(f"{cls}+{method.value.upper()}" for cls, ok in memberships if ok)
-    elif omega is not None and 0.0 < omega <= 1.0:
+    elif 0.0 < omega <= 1.0:
         tags.extend(f"{cls}+GSOR(0<omega<=1)" for cls, ok in memberships if ok)
     # Overrelaxed GSOR on an M-matrix A: band is then one too, and lower,
     # upper >= 0.  By the regular-splitting theorem (Varga, Thm 3.13),
-    # c*band - N with c > 0 and N >= 0 is a nonsingular M-matrix iff
-    # rho(band^{-1} N) < c:
-    #   N = lower + upper, c = 2/omega - 1:  omega < 2 / (1 + rho(H_GJ));
-    #   N = omega*lower,   c = 1:            rho(band^{-1} lower) < 1/omega.
-    # For omega >= 2 (c <= 0) no positive witness exists, as required.  The
-    # second matrix is GSOR's M part, a Z-matrix here, certified through the
-    # step operator's own factor; the margin is certified first, so its LU is
-    # freed before the operator's is made.
-    overrelaxed = (
-        method is Method.GSOR and omega > 1.0 and report.is_m
-        and is_m_matrix(SquareMatrix.from_csr(
-            (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
-            - splitting.upper.csr))[0]
-    )
-    op = build_step(splitting, method, omega)
-    if overrelaxed and positive_witness(SquareMatrix.from_csr(op.m_part),
-                                        op.solve_m(np.ones(op.n)))[0] is not None:
+    # c*band - lower - upper with c = 2/omega - 1 > 0 is a nonsingular
+    # M-matrix iff rho(band^{-1}(lower + upper)) < c, i.e. omega < 2 / (1 +
+    # rho(H_GJ)); for omega >= 2 (c <= 0) no positive witness exists.  The
+    # theorem's other condition, rho(band^{-1} lower) < 1/omega, follows:
+    # rho(band^{-1} lower) <= rho(band^{-1}(lower + upper)) by Perron-Frobenius
+    # (band^{-1} >= 0), and 1/omega - c = 1 - 1/omega > 0.  The margin is
+    # certified before the step operator is built, so its LU is freed first.
+    if (method is Method.GSOR and omega > 1.0 and report.is_m
+            and is_m_matrix(SquareMatrix.from_csr(
+                (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
+                - splitting.upper.csr))[0]):
         tags.append(TAG_OVERRELAXED_M)
 
-    guaranteed = bool(tags)
-    estimate = spectral_radius(op, mode="power")
+    estimate = spectral_radius(build_step(splitting, method, omega), mode="power")
     if estimate.reliable:
         rho, predicted = estimate.value, bool(estimate.value < 1.0)
     else:
-        rho, predicted = None, (True if guaranteed else None)
+        rho, predicted = None, (True if tags else None)
 
     return ConvergenceVerdict(
         rho_estimate=rho,
-        guaranteed=guaranteed,
         guarantee_source=tuple(tags),
         predicted_converges=predicted,
     )

@@ -37,6 +37,7 @@ def write_matrix(
     """Write a matrix in coordinate format; lower triangle only if symmetric."""
     if symmetric and not A.is_symmetric():
         raise ValueError("symmetric output requested for a non-symmetric matrix")
+    open(path, "wb").close()  # mmwrite returns silently on a path it cannot open
     scipy.io.mmwrite(
         str(path),
         sp.coo_matrix(A.csr),

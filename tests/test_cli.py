@@ -233,6 +233,11 @@ class TestTable:
             got = tuple(int(cell.split("(")[0]) for cell in cells)
             assert got == counts
 
+    def test_markdown_grid_uses_the_shared_writer(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "2")
+        assert code == 0
+        assert "\n| n | GJ | GGS | SOR | GSOR |\n|---|---|---|---|---|\n| 20 | 652(" in out
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "3", "--format", "csv")
         assert code == 0
@@ -533,6 +538,16 @@ class TestExport:
         assert read_matrix(matrix_path).same_entries(problem.A)
         np.testing.assert_array_equal(read_vector(rhs_path), problem.b)
         np.testing.assert_array_equal(read_vector(exact_path), problem.x_exact)
+
+    @pytest.mark.parametrize("what", ["matrix", "rhs"])
+    def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, what):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, "export", "--pde", "g=zero", "n=5",
+                                 "--what", what, "-o", str(path))
+        assert code == 2
+        assert "wrote" not in out
+        assert err.startswith("gsolve: ") and str(path) in err
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

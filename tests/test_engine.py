@@ -12,6 +12,7 @@ import gsolve.engine
 import gsolve.matrices
 import gsolve.solvers
 from gsolve import (
+    ConvergenceVerdict,
     IterationConfig,
     Method,
     PowerEstimate,
@@ -28,6 +29,7 @@ from gsolve import (
 )
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from gsolve.matrices import positive_witness
 from gsolve.pde import LAYOUT_BENCH, assemble
 from gsolve.solvers import TridiagonalLDLT
 
@@ -51,6 +53,19 @@ def _shifted_z_matrix(n, rng):
     np.fill_diagonal(b, 0.0)
     s = float(np.max(np.abs(np.linalg.eigvals(b)))) * rng.uniform(0.3, 0.95)
     return SquareMatrix.from_dense(s * np.eye(n) - b)
+
+
+def _margin_certified(splitting, omega):
+    """The overrelaxed-GSOR certificate: (2/omega - 1) band - lower - upper is an M-matrix."""
+    return is_m_matrix(SquareMatrix.from_csr(
+        (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
+        - splitting.upper.csr))[0]
+
+
+def _m_part_certified(op):
+    """GSOR's M part band - omega*lower is an M-matrix, witnessed through op's factor."""
+    witness = positive_witness(SquareMatrix.from_csr(op.m_part), op.solve_m(np.ones(op.n)))
+    return witness[0] is not None
 
 
 def _operator_of(H):
@@ -481,7 +496,7 @@ class TestPredict:
             else:
                 assert TAG_OVERRELAXED_M not in verdict.guarantee_source
 
-    def test_overrelaxed_m_part_certified_through_the_ldlt_factor(self):
+    def test_overrelaxed_tag_on_an_ldlt_operator(self):
         # Symmetric tridiagonal at m = 1: lower is empty, M = band = A gets
         # the LDL^T factor, and the margin (2/omega - 1) A is an M-matrix
         # exactly for omega < 2.
@@ -523,6 +538,48 @@ class TestPredict:
         want = omega < 2.0 / (1.0 + rho_gj) and gate < 1.0 / omega
         verdict = predict(A, IterationConfig("gsor", m=m, omega=omega))
         assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.booleans(),
+           st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), st.data())
+    def test_margin_certificate_implies_m_part_certificate(self, n, seed, sparse, omega,
+                                                           data):
+        rng = np.random.default_rng(seed)
+        a = random_m_matrix(n, rng).to_dense()
+        if sparse:  # dropping off-diagonal entries keeps an M-matrix one
+            a[(rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = 0.0
+        A = SquareMatrix.from_dense(a)
+        m = data.draw(st.integers(0, n - 1), label="m")
+        splitting = extract_splitting(A, m)
+        margin = _margin_certified(splitting, omega)
+        if margin:
+            assert _m_part_certified(build_step(splitting, "gsor", omega))
+        report = classify(A)
+        assert report.is_m
+        verdict = predict(A, IterationConfig("gsor", m=m, omega=omega), report=report)
+        assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == margin
+
+    @pytest.mark.parametrize("g_id", ["xplusy", "zero", "expxy", "negexp4xy"])
+    def test_margin_certificate_implies_m_part_certificate_on_bench(self, g_id):
+        certified = 0
+        for n in (6, 10, 20, 40):
+            A = assemble(n, g_id, layout=LAYOUT_BENCH).A
+            for m in (0, 1, 2):
+                splitting = extract_splitting(A, m)
+                for omega in (1.0001, 1.001, 1.01, 1.1, 1.5):
+                    if _margin_certified(splitting, omega):
+                        certified += 1
+                        op = build_step(splitting, "gsor", omega)
+                        assert _m_part_certified(op), (n, m, omega)
+        assert certified > 0
+
+    def test_guaranteed_is_derived_from_the_sources(self):
+        assert [f.name for f in dataclasses.fields(ConvergenceVerdict)] == [
+            "rho_estimate", "guarantee_source", "predicted_converges"]
+        assert ConvergenceVerdict(0.5, ("M+GJ",)).guaranteed
+        assert not ConvergenceVerdict(0.5).guaranteed
+        with pytest.raises(AttributeError):
+            ConvergenceVerdict(0.5).guaranteed = True
 
     @pytest.mark.parametrize(
         "config",

@@ -81,6 +81,8 @@ class TestSquareMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             SquareMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(ValueError, match="matrix must be square"):
+            SquareMatrix.from_csr(sp.csr_array(np.ones((2, 3))))
 
     def test_order_zero_rejected_by_every_constructor(self):
         for build in (
@@ -96,6 +98,7 @@ class TestSquareMatrix:
         A = SquareMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
         assert A.same_entries(A)
         assert not A.same_entries(A.transpose())
+        assert not A.same_entries(SquareMatrix.identity(3))
         assert A.transpose().entry(1, 2) == 0.0
         assert A.transpose().entry(2, 1) == 2.0
 

@@ -95,6 +95,11 @@ def test_symmetric_write_rejects_asymmetric_input(tmp_path, lmat3):
         write_matrix(tmp_path / "x.mtx", lmat3, symmetric=True)
 
 
+def test_unwritable_path_raises(tmp_path, lmat3):
+    with pytest.raises(OSError):
+        write_matrix(tmp_path / "missing" / "x.mtx", lmat3)
+
+
 def test_vector_round_trip(tmp_path):
     v = np.array([1.0, -2.5, 3.0e-17, 4.0])
     path = tmp_path / "v.txt"
