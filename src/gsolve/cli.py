@@ -140,23 +140,25 @@ def _emit_records(fields: tuple[str, ...], rows: list[tuple], fmt: str, out) -> 
 
 
 def _cmd_run(args, out) -> int:
+    plans = []
+    for name in args.method.split(","):
+        label, method, m, omega = _method_plan(name, args.m, args.omega)
+        plans.append((label, IterationConfig(
+            method=method, m=m, omega=omega, tol=args.tol, max_iter=args.max_iter
+        )))
     source, A, b, x_exact = _load_source(args)
     rows = []
     failed = False
-    for name in args.method.split(","):
-        label, method, m, omega = _method_plan(name, args.m, args.omega)
-        config = IterationConfig(
-            method=method, m=m, omega=omega, tol=args.tol, max_iter=args.max_iter
-        )
+    for label, config in plans:
         try:
             report = solve(A, b, config, x_exact=x_exact)
         except FactorizationError as err:
-            rows.append((source, label, A.n, m, omega, 0, False, float("nan"), None, 0.0,
-                         f"factorization failed: {err}"))
+            rows.append((source, label, A.n, config.m, config.omega, 0, False, float("nan"),
+                         None, 0.0, f"factorization failed: {err}"))
             failed = True
             continue
-        rows.append((source, label, A.n, m, omega, report.iterations, report.converged,
-                     report.final_diff_norm, report.final_error_norm,
+        rows.append((source, label, A.n, config.m, config.omega, report.iterations,
+                     report.converged, report.final_diff_norm, report.final_error_norm,
                      report.elapsed_seconds, report.note))
         failed = failed or not report.converged
     _emit_records(RUN_FIELDS, rows, args.format, out)
@@ -210,6 +212,9 @@ def _tristate(value: bool | None) -> str:
 
 
 def _cmd_classify(args, out) -> int:
+    if args.predict:
+        _, method, m, omega = _method_plan(args.predict, args.m, args.omega)
+        config = IterationConfig(method=method, m=m, omega=omega)
     source, A, _, _ = _load_source(args)
     report = classify(A)
     print(f"source: {source} (order {A.n})", file=out)
@@ -223,9 +228,7 @@ def _cmd_classify(args, out) -> int:
     for note in report.notes:
         print(f"note: {note}", file=out)
     if args.predict:
-        _, method, m, omega = _method_plan(args.predict, args.m, args.omega)
-        verdict = predict(A, IterationConfig(method=method, m=m, omega=omega),
-                          report=report)
+        verdict = predict(A, config, report=report)
         print(f"predict: method={args.predict} m={m} omega={_fmt(omega)}", file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
         print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)

@@ -62,8 +62,13 @@ class IterationConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.m < 0:
             raise ValueError(f"half-bandwidth m must be >= 0, got {self.m}")
-        if self.method is Method.GSOR and self.omega is None:
-            raise ValueError("gsor requires a relaxation factor omega")
+        if self.method is Method.GSOR:
+            if self.omega is None:
+                raise ValueError("gsor requires a relaxation factor omega")
+            if self.omega == 0.0 or not math.isfinite(self.omega):
+                raise ValueError(
+                    f"omega must be finite and nonzero for gsor, got {self.omega}"
+                )
 
 
 @dataclass(frozen=True)

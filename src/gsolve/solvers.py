@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import SuperLU, splu
 
-from .matrices import DEFAULT_DENSE_LIMIT, BandedSplitting
+from .matrices import DEFAULT_DENSE_LIMIT, SPLU_PANEL_SIZE, BandedSplitting
 
 
 class Method(str, Enum):
@@ -210,7 +210,8 @@ def build_step(
     where the blocks are the grid lines, M = band - omega*lower is block
     lower triangular.  Natural elimination then fills each coupling block of
     L with the dense triangle U_k^{-1} of the previous block, b^2/2 entries
-    for a block of order b; dissection leaves O(b log b) of them.  A
+    for a block of order b; dissection leaves O(b log b) of them.  Both
+    SuperLU routes factorize one column at a time (``SPLU_PANEL_SIZE``).  A
     singular M raises :class:`FactorizationError`.
 
     GSOR requires a finite omega != 0; any such omega is accepted.  Which
@@ -241,9 +242,11 @@ def build_step(
         try:
             if method is not Method.GJ and splitting.m > 0 and lower.nnz > 0:
                 p = _dissection_order(splitting)
-                lu = PermutedLU(splu(sp.csc_matrix(m_part[p][:, p]), permc_spec="NATURAL"), p)
+                lu = PermutedLU(splu(sp.csc_matrix(m_part[p][:, p]), permc_spec="NATURAL",
+                                     panel_size=SPLU_PANEL_SIZE), p)
             else:
-                lu = splu(sp.csc_matrix(m_part), permc_spec="NATURAL")
+                lu = splu(sp.csc_matrix(m_part), permc_spec="NATURAL",
+                          panel_size=SPLU_PANEL_SIZE)
         except (RuntimeError, ValueError) as err:
             raise FactorizationError(
                 f"M part is singular for method={method.value}, m={splitting.m}: {err}"

@@ -208,6 +208,17 @@ class TestRun:
         assert out == ""
         assert message in err
 
+    def test_bad_omega_is_rejected_before_the_first_solve(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a method was solved before every config was built")
+
+        monkeypatch.setattr(gsolve.cli, "solve", refuse)
+        code, out, err = run_cli(
+            capsys, "run", "--pde", "g=zero", "n=4", "--method", "gj,gsor", "--omega", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert "omega must be finite and nonzero for gsor" in err
+
     def test_non_finite_matrix_entry_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nan.mtx"
         path.write_text(
@@ -389,6 +400,16 @@ class TestClassify:
             "rho: 0.988014",
             "predicted_converges: true",
         ]
+
+    @pytest.mark.parametrize("predict, message", [
+        (("--predict", "gsor", "--omega", "nan"), "omega must be finite and nonzero for gsor"),
+        (("--predict", "gsor"), "method gsor needs --omega"),
+        (("--predict", "bogus"), "unknown method 'bogus'"),
+    ])
+    def test_bad_predict_is_rejected_before_the_report(self, capsys, predict, message):
+        code, out, err = run_cli(capsys, "classify", "--pde", "g=zero", "n=5", *predict)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_spd_undetermined_above_dense_limit(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--pde", "g=zero", "n=46")

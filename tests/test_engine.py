@@ -105,6 +105,11 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol"):
             IterationConfig("gj", m=1, tol=tol)
 
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_non_finite_or_zero_gsor_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite and nonzero for gsor"):
+            IterationConfig("gsor", m=1, omega=omega)
+
     def test_method_normalized(self):
         assert IterationConfig("GGS", m=0).method is Method.GGS
 
@@ -621,3 +626,39 @@ class TestPredict:
         assert verdict.rho_estimate is None
         assert not verdict.guaranteed
         assert verdict.predicted_converges is None
+
+
+class TestSparseLUPanel:
+    """Every sparse LU factorizes one column at a time, on each route to SuperLU."""
+
+    @pytest.fixture(scope="class")
+    def bench40(self):
+        A = assemble(40, "negexp4xy", layout=LAYOUT_BENCH).A  # order 1560
+        return A, classify(A)
+
+    @pytest.mark.parametrize("route, module", [
+        ("classify", "matrices"),
+        ("build_step natural", "solvers"),
+        ("build_step permuted", "solvers"),
+        ("predict margin", "matrices"),
+        ("regular power", "matrices"),
+    ])
+    def test_every_factorization_has_panel_size_one(self, bench40, route, module):
+        A, report = bench40
+        with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as a_spy, \
+                mock.patch.object(gsolve.solvers, "splu", wraps=splu) as m_spy:
+            if route == "classify":
+                classify(A)
+            elif route == "build_step natural":
+                build_step(extract_splitting(A, 0), "gsor", 1.5)
+            elif route == "build_step permuted":
+                build_step(extract_splitting(A, 1), "ggs")
+            elif route == "predict margin":
+                predict(A, IterationConfig("gsor", m=1, omega=1.001), report=report)
+            else:
+                op = build_step(extract_splitting(A, 1), "gj")  # LDL^T, no splu
+                assert op.n > SMALL_ORDER
+                spectral_radius(op, mode="power")
+        assert {"matrices": a_spy, "solvers": m_spy}[module].call_count >= 1
+        calls = a_spy.call_args_list + m_spy.call_args_list
+        assert [c.kwargs["panel_size"] for c in calls] == [1] * len(calls)

@@ -16,6 +16,7 @@ from gsolve import (
     spectral_radius,
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from gsolve.matrices import certify_m
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
 from gsolve.solvers import PermutedLU, TridiagonalLDLT, _dissection_order
 
@@ -428,3 +429,23 @@ class TestOrdering:
         want = np.linalg.solve(dense_m, v)
         got = op.solve_m(v)
         assert np.linalg.norm(got - want) <= 1e-12 * cond * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+@pytest.mark.parametrize("g_id", sorted(G_BUILTINS))
+def test_one_column_panels_keep_fill_and_solves(n, g_id):
+    """Each factor equals a default-panel SuperLU of the same matrix and order."""
+    A = assemble(n, g_id, layout=LAYOUT_BENCH).A
+    v = np.random.default_rng(n).standard_normal(A.n)
+    pairs = [(certify_m(A)[0], splu(sp.csc_array(A.csr), permc_spec="MMD_AT_PLUS_A"), np.arange(A.n))]
+    for method, m, omega in (("gsor", 0, 1.5), ("ggs", 1, None), ("gsor", 1, 1.5)):
+        op = build_at(A, method, m, omega)
+        p = op.lu.perm if isinstance(op.lu, PermutedLU) else np.arange(A.n)
+        reference = splu(sp.csc_matrix(op.m_part[p][:, p]), permc_spec="NATURAL")
+        pairs.append((op.lu.lu if isinstance(op.lu, PermutedLU) else op.lu, reference, p))
+    for factor, reference, p in pairs:
+        assert fill(factor) == fill(reference)
+        np.testing.assert_array_equal(factor.perm_c, reference.perm_c)
+        np.testing.assert_array_equal(factor.perm_r, reference.perm_r)
+        want = reference.solve(v[p])
+        assert np.linalg.norm(factor.solve(v[p]) - want) <= 1e-12 * np.linalg.norm(want)
