@@ -44,11 +44,13 @@ def _fmt(value) -> str:
 
 
 def _parse_pde_tokens(tokens: list[str]):
-    params = {"layout": LAYOUT_BENCH}
+    params = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
             raise CliError(f"--pde expects key=value tokens, got {token!r}")
+        if key in params:
+            raise CliError(f"--pde got key {key!r} twice")
         params[key] = value
     unknown = set(params) - {"g", "n", "layout"}
     if unknown:
@@ -59,7 +61,7 @@ def _parse_pde_tokens(tokens: list[str]):
         n = int(params["n"])
     except ValueError:
         raise CliError(f"--pde n must be an integer, got {params['n']!r}") from None
-    return params["g"], n, params["layout"]
+    return params["g"], n, params.get("layout", LAYOUT_BENCH)
 
 
 def _load_source(args) -> tuple[str, SquareMatrix, np.ndarray, np.ndarray]:
@@ -177,10 +179,6 @@ def _cmd_table(args, out) -> int:
     rows = []
     for number in numbers:
         g_id = TABLE_G[number]
-        if markdown:
-            print(f"## Table {number}: g = {g_id} "
-                  f"(m={args.m}, omega={args.omega}, tol={_fmt(args.tol)})", file=out)
-            print("", file=out)
         grid = []
         for n in TABLE_SIZES:
             problem = assemble(n, g_id, layout=args.layout)
@@ -197,6 +195,9 @@ def _cmd_table(args, out) -> int:
                              report.elapsed_seconds, report.converged))
             grid.append((n, *shown))
         if markdown:
+            print(f"## Table {number}: g = {g_id} "
+                  f"(m={args.m}, omega={args.omega}, tol={_fmt(args.tol)})", file=out)
+            print("", file=out)
             _emit_records(("n", *(c.upper() for c in TABLE_COLUMNS)), grid, "markdown", out)
             print("", file=out)
     if not markdown:
@@ -217,6 +218,7 @@ def _cmd_classify(args, out) -> int:
         config = IterationConfig(method=method, m=m, omega=omega)
     source, A, _, _ = _load_source(args)
     report = classify(A)
+    verdict = predict(A, config, report=report) if args.predict else None
     print(f"source: {source} (order {A.n})", file=out)
     for name, value in (
         ("sdd", report.is_sdd), ("z", report.is_z), ("l", report.is_l),
@@ -227,8 +229,7 @@ def _cmd_classify(args, out) -> int:
         print(f"m_witness_min: {_fmt(float(report.m_witness.min()))}", file=out)
     for note in report.notes:
         print(f"note: {note}", file=out)
-    if args.predict:
-        verdict = predict(A, config, report=report)
+    if verdict is not None:
         print(f"predict: method={args.predict} m={m} omega={_fmt(omega)}", file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
         print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)

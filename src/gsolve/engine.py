@@ -52,7 +52,6 @@ class IterationConfig:
     omega: float | None = None
     tol: float = 1e-7
     max_iter: int = 10000
-    x0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", Method.parse(self.method))
@@ -105,7 +104,7 @@ def solve(
     config: IterationConfig,
     x_exact: np.ndarray | None = None,
 ) -> SolveReport:
-    """Iterate from x0 until the successive-difference test passes.
+    """Iterate from the zero vector until the successive-difference test passes.
 
     Stops early with ``note="diverged"`` once the difference norm blows past
     ``DIVERGENCE_GUARD`` times the first difference (or goes non-finite), and
@@ -113,11 +112,11 @@ def solve(
     extraction and factorization are timed as ``setup_seconds``, the
     iteration loop as ``elapsed_seconds``.  When ``x_exact`` is supplied the
     2-norm error of the final iterate is reported as ``final_error_norm``.
-    A misshapen or non-finite ``b``, ``x0`` or ``x_exact`` raises ValueError
-    before set-up.
+    A misshapen or non-finite ``b`` or ``x_exact`` raises ValueError before
+    set-up.
     """
     b = _finite_vector("b", b, A.n)
-    x = np.zeros(A.n) if config.x0 is None else _finite_vector("x0", config.x0, A.n)
+    x = np.zeros(A.n)
     if x_exact is not None:
         x_exact = _finite_vector("x_exact", x_exact, A.n)
     setup_start = time.perf_counter()
@@ -248,8 +247,9 @@ def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEst
 def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
     """Largest eigenvalue modulus of an iteration matrix.
 
-    ``mode="dense"``: ``target`` is an explicit matrix (:class:`SquareMatrix`
-    or ndarray); returns a float from a dense eigenvalue computation.
+    ``mode="dense"``: ``target`` is an explicit square ndarray, such as
+    ``iteration_matrix(op)``; returns a float from a dense eigenvalue
+    computation.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
     x -> M^{-1} N x); returns a :class:`PowerEstimate`.  An empty N part
@@ -268,10 +268,7 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
     other operator is iterated as H.
     """
     if mode == "dense":
-        if isinstance(target, SquareMatrix):
-            dense = target.to_dense()
-        else:
-            dense = np.asarray(target, dtype=np.float64)
+        dense = np.asarray(target, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"dense mode needs a square matrix, got shape {dense.shape}")
         return float(np.max(np.abs(np.linalg.eigvals(dense))))

@@ -28,22 +28,15 @@ def read_matrix(path: str | Path) -> SquareMatrix:
     return SquareMatrix.from_csr(mat)
 
 
-def write_matrix(
-    path: str | Path,
-    A: SquareMatrix,
-    symmetric: bool = False,
-    comment: str = "",
-) -> None:
-    """Write a matrix in coordinate format; lower triangle only if symmetric."""
-    if symmetric and not A.is_symmetric():
-        raise ValueError("symmetric output requested for a non-symmetric matrix")
+def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
+    """Write a matrix as a general real coordinate file."""
     open(path, "wb").close()  # mmwrite returns silently on a path it cannot open
     scipy.io.mmwrite(
         str(path),
         sp.coo_matrix(A.csr),
         comment=comment,
         field="real",
-        symmetry="symmetric" if symmetric else "general",
+        symmetry="general",
     )
 
 

@@ -45,12 +45,6 @@ G_BUILTINS: dict[str, Callable[[float, float], float]] = {
 class PdeProblem:
     """Assembled benchmark system with its manufactured exact solution."""
 
-    n: int
-    h: float
-    g_id: str
-    layout: str
-    nx: int  # number of grid lines (block count)
-    ny: int  # points per line (block order)
     A: SquareMatrix
     b: np.ndarray
     x_exact: np.ndarray
@@ -61,25 +55,23 @@ def assemble(
     g: str | Callable[[float, float], float],
     layout: str = LAYOUT_SQUARE,
 ) -> PdeProblem:
-    """Assemble the benchmark system of size parameter n.
+    """Assemble the benchmark system A x = b of size parameter n, x = ones.
 
     ``g`` is a builtin name (xplusy, zero, expxy, negexp4xy) or any callable
     of (x, y); one that does not take arrays is evaluated point by point.
-    See the module docstring for the two layouts.
+    See the module docstring for the two layouts, their grid spacing h and
+    their line counts.
     """
     if n < 2:
         raise ValueError(f"grid parameter n must be >= 2, got {n}")
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
     if callable(g):
-        g_fn, g_id = g, getattr(g, "__name__", "custom")
+        g_fn = g
+    elif g in G_BUILTINS:
+        g_fn = G_BUILTINS[g]
     else:
-        g_id = g
-        if g_id not in G_BUILTINS:
-            raise ValueError(
-                f"unknown g {g_id!r}; expected one of {', '.join(G_BUILTINS)}"
-            )
-        g_fn = G_BUILTINS[g_id]
+        raise ValueError(f"unknown g {g!r}; expected one of {', '.join(G_BUILTINS)}")
 
     if layout == LAYOUT_SQUARE:
         nx, ny = n, n
@@ -113,14 +105,4 @@ def assemble(
     )
     A = SquareMatrix.from_csr(mat)
     x_exact = np.ones(size)
-    return PdeProblem(
-        n=n,
-        h=h,
-        g_id=g_id,
-        layout=layout,
-        nx=nx,
-        ny=ny,
-        A=A,
-        b=A.csr @ x_exact,
-        x_exact=x_exact,
-    )
+    return PdeProblem(A=A, b=A.csr @ x_exact, x_exact=x_exact)

@@ -162,7 +162,7 @@ class StepOperator:
 
     ``lu`` is the factor of M: :class:`TridiagonalLDLT`, :class:`PermutedLU`
     or SuperLU (see :func:`build_step`).  Immutable after construction; the
-    factor is read-only, so concurrent :meth:`apply` calls on one operator
+    factor is read-only, so concurrent :meth:`step` calls on one operator
     are safe.
     """
 
@@ -177,18 +177,8 @@ class StepOperator:
         return self.lu.solve(v)
 
     def step(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Unchecked update M^{-1}(N x + c), with c = rhs_scale * b."""
+        """One update M^{-1}(N x + c), with c = rhs_scale * b; shapes unchecked."""
         return self.lu.solve(self.n_part @ x + c)
-
-    def apply(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One update x -> M^{-1}(N x + c b); the input x is not modified."""
-        x = np.asarray(x, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"x has shape {x.shape}, expected ({self.n},)")
-        if b.shape != (self.n,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        return self.step(x, self.rhs_scale * b)
 
 
 def build_step(

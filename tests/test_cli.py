@@ -187,6 +187,16 @@ class TestRun:
         assert code == 2
         assert "--pde n must be an integer, got '4.5'" in err
 
+    @pytest.mark.parametrize("tokens, key", [
+        (("g=zero", "g=expxy", "n=3"), "g"),
+        (("g=zero", "n=3", "n=4"), "n"),
+        (("layout=square", "g=zero", "n=3", "layout=bench"), "layout"),
+    ])
+    def test_repeated_pde_key_is_a_usage_error(self, capsys, tokens, key):
+        code, out, err = run_cli(capsys, "run", "--pde", *tokens, "--method", "gj")
+        assert (code, out) == (2, "")
+        assert f"--pde got key {key!r} twice" in err
+
     def test_unknown_g_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--pde", "g=cubed", "n=5", "--method", "gj")
         assert code == 2
@@ -243,6 +253,12 @@ class TestTable:
             cells = [c.strip() for c in line.strip("|").split("|")][1:]
             got = tuple(int(cell.split("(")[0]) for cell in cells)
             assert got == counts
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv"])
+    def test_bad_bandwidth_prints_no_partial_table(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "table", "1", "--m", "500", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "half-bandwidth m=500 outside [0, 379]" in err
 
     def test_markdown_grid_uses_the_shared_writer(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2")
@@ -410,6 +426,12 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--pde", "g=zero", "n=5", *predict)
         assert (code, out) == (2, "")
         assert message in err
+
+    def test_bad_bandwidth_is_rejected_before_the_report(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--pde", "g=zero", "n=3",
+                                 "--predict", "gj", "--m", "99")
+        assert (code, out) == (2, "")
+        assert "half-bandwidth m=99 outside [0, 5]" in err
 
     def test_spd_undetermined_above_dense_limit(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--pde", "g=zero", "n=46")

@@ -29,7 +29,7 @@ from gsolve import (
 )
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
-from gsolve.matrices import positive_witness
+from gsolve.matrices import certify_m, positive_witness
 from gsolve.pde import LAYOUT_BENCH, assemble
 from gsolve.solvers import TridiagonalLDLT
 
@@ -143,8 +143,8 @@ class TestSolve:
         ("gj", 1, None), ("ggs", 1, None), ("gsor", 0, 1.5), ("gsor", 1, 1.5),
     ])
     def test_loop_is_bitwise_the_apply_loop(self, method, m, omega):
-        # The solve loop's unchecked step and norm reproduce, bit for bit, a
-        # loop of the checked op.apply stopped by np.linalg.norm.
+        # The solve loop's step and norm reproduce, bit for bit, a loop of
+        # op.step on the scaled b stopped by np.linalg.norm.
         problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)
         A, b = problem.A, problem.b
         config = IterationConfig(method, m=m, omega=omega)
@@ -152,7 +152,7 @@ class TestSolve:
         op = build_step(extract_splitting(A, m), method, omega)
         x = np.zeros(A.n)
         for k in range(1, config.max_iter + 1):
-            x_next = op.apply(x, b)
+            x_next = op.step(x, op.rhs_scale * b)
             diff = np.linalg.norm(x_next - x)
             x = x_next
             if diff <= config.tol:
@@ -179,13 +179,6 @@ class TestSolve:
         assert np.max(np.abs(report.solution - problem.x_exact)) < 1e-5
         assert report.elapsed_seconds >= 0.0
 
-    def test_starting_at_fixed_point(self):
-        problem = assemble(4, "xplusy")
-        config = IterationConfig("gj", m=1, x0=problem.x_exact)
-        report = solve(problem.A, problem.b, config)
-        assert report.converged
-        assert report.iterations == 1
-
     @given(st.integers(0, 12), st.booleans())
     def test_misshapen_x_exact_rejected_before_iterating(self, length, as_column):
         problem = assemble(2, "zero")  # order 4
@@ -199,22 +192,21 @@ class TestSolve:
 
     @staticmethod
     def _solve_without_set_up(name, vec):
-        """Solve with ``vec`` as b, x0 or x_exact; failing if build_step is reached."""
+        """Solve with ``vec`` as b or x_exact; failing if build_step is reached."""
         problem = assemble(2, "zero")  # order 4
-        args = {"b": problem.b, "x0": None, "x_exact": None, name: vec}
+        args = {"b": problem.b, "x_exact": None, name: vec}
         started = AssertionError(f"solve set up the iteration before checking {name}")
         with mock.patch.object(gsolve.engine, "build_step", side_effect=started):
-            solve(problem.A, args["b"], IterationConfig("gj", m=1, x0=args["x0"]),
-                  x_exact=args["x_exact"])
+            solve(problem.A, args["b"], IterationConfig("gj", m=1), x_exact=args["x_exact"])
 
-    @given(st.sampled_from(["b", "x0"]), st.integers(0, 12), st.booleans())
-    def test_misshapen_b_or_x0_rejected_before_set_up(self, name, length, as_column):
+    @given(st.integers(0, 12), st.booleans())
+    def test_misshapen_b_or_x0_rejected_before_set_up(self, length, as_column):
         shape = (length, 1) if as_column else (length,)
         assume(shape != (4,))
-        with pytest.raises(ValueError, match=rf"^{name} has shape"):
-            self._solve_without_set_up(name, np.ones(shape))
+        with pytest.raises(ValueError, match=r"^b has shape"):
+            self._solve_without_set_up("b", np.ones(shape))
 
-    @given(st.sampled_from(["b", "x0", "x_exact"]),
+    @given(st.sampled_from(["b", "x_exact"]),
            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
            st.integers(0, 3))
     def test_non_finite_vector_rejected_before_set_up(self, name, value, index):
@@ -256,7 +248,7 @@ class TestSpectralRadius:
             base = rng.normal(size=(n, n))
             sym = (base + base.T) / 2
             want = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-            got = spectral_radius(SquareMatrix.from_dense(sym))
+            got = spectral_radius(sym)
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_rejects_bad_input(self):
@@ -662,3 +654,27 @@ class TestSparseLUPanel:
         assert {"matrices": a_spy, "solvers": m_spy}[module].call_count >= 1
         calls = a_spy.call_args_list + m_spy.call_args_list
         assert [c.kwargs["panel_size"] for c in calls] == [1] * len(calls)
+        # certify_m eliminates without row pivoting; build_step's factors pivot
+        certified = a_spy.call_args_list
+        assert [c.kwargs["diag_pivot_thresh"] for c in certified] == [0.0] * len(certified)
+
+    @pytest.mark.parametrize("omega", [1.5, 1.85])
+    def test_predict_margin_keeps_the_fill_of_a(self, bench40, omega):
+        # The margin (2/omega - 1) band - lower - upper has A's pattern and is
+        # no M-matrix here; elimination without row pivoting keeps A's fill.
+        A, report = bench40
+        factors = []
+
+        def recording_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        skip_radius = PowerEstimate(float("nan"), np.inf, False, 0)
+        with mock.patch.object(gsolve.matrices, "splu", side_effect=recording_splu), \
+                mock.patch.object(gsolve.engine, "spectral_radius", return_value=skip_radius):
+            verdict = predict(A, IterationConfig("gsor", m=1, omega=omega), report=report)
+        assert verdict.guarantee_source == ()
+        lu_a = certify_m(A)[0]
+        (margin,) = factors
+        assert margin.L.nnz + margin.U.nnz == lu_a.L.nnz + lu_a.U.nnz
+        np.testing.assert_array_equal(margin.perm_r, margin.perm_c)

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 import gsolve.matrices
 from gsolve import (
+    IterationConfig,
     SquareMatrix,
     classify,
     comparison_matrix,
@@ -20,6 +21,7 @@ from gsolve import (
     is_sdd,
     is_spd,
     is_z_matrix,
+    solve,
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m, positive_witness
@@ -36,34 +38,26 @@ def matrix_and_bandwidth(draw, max_n=7, elements=None):
     return SquareMatrix.from_dense(arr), m
 
 
+def _from_triples(n, rows, cols, vals):
+    """SquareMatrix.from_csr of 0-based (row, col, value) triples."""
+    return SquareMatrix.from_csr(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+
+
 class TestSquareMatrix:
     def test_duplicate_entries_are_summed(self):
-        A = SquareMatrix.from_entries(2, [(1, 1, 2.0), (1, 1, 3.0), (2, 1, -1.0)])
-        assert A.entry(1, 1) == 5.0
-        assert A.entry(2, 1) == -1.0
+        A = _from_triples(2, [0, 0, 1], [0, 0, 0], [2.0, 3.0, -1.0])
+        assert A.csr[0, 0] == 5.0
+        assert A.csr[1, 0] == -1.0
         assert A.nnz == 2
 
     def test_zero_entries_dropped(self):
-        A = SquareMatrix.from_entries(2, [(1, 2, 0.0), (2, 2, 1.0), (1, 1, 1.0), (2, 1, -1.0)])
+        A = _from_triples(2, [0, 1, 0, 1], [1, 1, 0, 0], [0.0, 1.0, 1.0, -1.0])
         assert A.nnz == 3
-        assert A.entry(1, 2) == 0.0
+        assert A.csr[0, 1] == 0.0
 
     def test_cancelling_duplicates_dropped(self):
-        A = SquareMatrix.from_entries(2, [(1, 2, 4.0), (1, 2, -4.0), (1, 1, 1.0)])
+        A = _from_triples(2, [0, 0, 0], [1, 1, 0], [4.0, -4.0, 1.0])
         assert A.nnz == 1
-
-    def test_entry_bounds(self):
-        A = SquareMatrix.identity(3)
-        with pytest.raises(IndexError):
-            A.entry(0, 1)
-        with pytest.raises(IndexError):
-            A.entry(1, 4)
-        with pytest.raises(IndexError):
-            SquareMatrix.from_entries(2, [(3, 1, 1.0)])
-
-    def test_entries_are_one_based_row_major(self):
-        A = SquareMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]])
-        assert list(A.entries()) == [(1, 1, 1.0), (2, 1, 2.0), (2, 2, 3.0)]
 
     @given(matrix_and_bandwidth(), st.sampled_from([np.nan, np.inf, -np.inf]),
            st.data())
@@ -76,7 +70,7 @@ class TestSquareMatrix:
         with pytest.raises(ValueError, match="finite"):
             SquareMatrix.from_dense(dense)
         with pytest.raises(ValueError, match="finite"):
-            SquareMatrix.from_entries(A.n, [(i + 1, j + 1, bad)])
+            _from_triples(A.n, [i], [j], [bad])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +82,6 @@ class TestSquareMatrix:
         for build in (
             lambda: SquareMatrix.from_csr(sp.csr_array((0, 0))),
             lambda: SquareMatrix.from_dense(np.zeros((0, 0))),
-            lambda: SquareMatrix.from_entries(0, []),
             lambda: SquareMatrix(0, sp.csr_array((0, 0))),
         ):
             with pytest.raises(ValueError, match="order must be positive, got 0"):
@@ -96,11 +89,12 @@ class TestSquareMatrix:
 
     def test_same_entries_and_transpose(self):
         A = SquareMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        transpose = SquareMatrix.from_csr(A.csr.T)
         assert A.same_entries(A)
-        assert not A.same_entries(A.transpose())
+        assert not A.same_entries(transpose)
         assert not A.same_entries(SquareMatrix.identity(3))
-        assert A.transpose().entry(1, 2) == 0.0
-        assert A.transpose().entry(2, 1) == 2.0
+        assert transpose.csr[0, 1] == 0.0
+        assert transpose.csr[1, 0] == 2.0
 
     def test_is_symmetric_is_exact(self):
         A = SquareMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
@@ -114,8 +108,8 @@ class TestExtractSplitting:
         s = extract_splitting(spd3, 1)
         band = np.array([[410.0, -195.0, 0.0], [-195.0, 151.0, 112.0], [0.0, 112.0, 132.0]])
         assert np.array_equal(s.band.to_dense(), band)
-        assert list(s.lower.entries()) == [(3, 1, 90.0)]
-        assert s.upper.same_entries(s.lower.transpose())
+        assert np.array_equal(s.lower.to_dense(), [[0.0] * 3, [0.0] * 3, [90.0, 0.0, 0.0]])
+        assert s.upper.same_entries(SquareMatrix.from_csr(s.lower.csr.T))
         assert s.reassemble().same_entries(spd3)
 
     def test_full_band_is_whole_matrix(self, lmat3):
@@ -149,18 +143,24 @@ class TestExtractSplitting:
         with pytest.raises(ValueError):
             extract_splitting(spd3, 3)
 
+    def test_non_integral_bandwidth_rejected(self, spd3):
+        with pytest.raises(ValueError, match="m=1.5 is not an integer"):
+            extract_splitting(spd3, 1.5)
+        b = spd3.csr @ np.ones(3)
+        with pytest.raises(ValueError, match="m=1.5 is not an integer"):
+            solve(spd3, b, IterationConfig("gj", m=1.5))
+        assert extract_splitting(spd3, 1.0).band.same_entries(extract_splitting(spd3, 1).band)
+
     @settings(max_examples=60)
     @given(matrix_and_bandwidth())
     def test_reconstruction_and_band_structure(self, case):
         A, m = case
         s = extract_splitting(A, m)
         assert s.reassemble().same_entries(A)
-        for i, j, _ in s.band.entries():
-            assert abs(i - j) <= m
-        for i, j, _ in s.lower.entries():
-            assert i > j + m
-        for i, j, _ in s.upper.entries():
-            assert j > i + m
+        band, lower, upper = (p.csr.tocoo() for p in (s.band, s.lower, s.upper))
+        assert np.all(np.abs(band.row - band.col) <= m)
+        assert np.all(lower.row > lower.col + m)
+        assert np.all(upper.col > upper.row + m)
 
 
 class TestBandBlocks:
@@ -187,8 +187,9 @@ class TestBandBlocks:
     def test_cuts_are_the_gaps_no_band_entry_spans(self, case):
         A, m = case
         s = extract_splitting(A, m)
-        spans = [(min(i, j), max(i, j)) for i, j, _ in s.band.entries()]
-        cuts = [g for g in range(1, A.n) if not any(lo <= g < hi for lo, hi in spans)]
+        coo = s.band.csr.tocoo()
+        spans = list(zip(np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)))
+        cuts = [g for g in range(1, A.n) if not any(lo < g <= hi for lo, hi in spans)]
         np.testing.assert_array_equal(s.blocks(), [0, *cuts, A.n])
 
 
@@ -271,6 +272,24 @@ class TestPredicates:
         assert witness is not None and np.all(witness > 0)
         # dense inversion oracle on the 25x25 system
         assert np.all(np.linalg.inv(problem.A.to_dense()) >= -1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 25), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0),
+           st.sampled_from([0.3, 0.6, 0.9, 0.97, 1.03, 1.1, 1.5, 3.0]))
+    def test_m_verdict_matches_eigenvalue_test_on_shifted_matrices(
+            self, n, seed, density, shift):
+        # A Z-matrix is a nonsingular M-matrix iff every eigenvalue has a
+        # positive real part; for s*I - B with B >= 0 the smallest real part is
+        # s - rho(B), so s on either side of rho(B) decides the verdict.  A
+        # cycle makes B irreducible, so that rho(B) is a simple eigenvalue.
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+        b[np.arange(n), (np.arange(n) + 1) % n] += rng.uniform(0.5, 1.0, n)
+        rho_b = np.max(np.abs(np.linalg.eigvals(b)))
+        a = shift * rho_b * np.eye(n) - b
+        dense_verdict = bool(np.min(np.linalg.eigvals(a).real) > 0.0)
+        assert dense_verdict == (shift > 1.0)
+        assert is_m_matrix(SquareMatrix.from_dense(a))[0] == dense_verdict
 
     def test_m_agrees_with_inverse_oracle_on_z_matrices(self):
         rng = np.random.default_rng(5)
@@ -404,8 +423,15 @@ class TestClassify:
 
     def test_certificate_returns_a_factor_only_when_certified(self, lmat3, spd3):
         singular = SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
+        # elimination without row pivoting meets a zero first pivot, a zero
+        # Schur pivot and a negative pivot in these three
+        bad_pivots = [SquareMatrix.from_dense(d) for d in (
+            [[0.0, -1.0], [-1.0, 0.0]],
+            [[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 1.0]],
+            [[-1.0, 0.0], [0.0, 1.0]],
+        )]
         for A, note in ((spd3, "not a Z-matrix"), (singular, "singular"),
-                        (lmat3, "witness has nonpositive components")):
+                        *((B, "witness has nonpositive components") for B in (lmat3, *bad_pivots))):
             assert certify_m(A) == (None, None, note)
         lu, witness, _ = certify_m(SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]))
         np.testing.assert_array_equal(lu.solve(np.ones(2)), [1.0, 1.0])

@@ -12,17 +12,8 @@ def test_round_trip_general(tmp_path, lmat3):
     assert back.same_entries(lmat3)
 
 
-def test_round_trip_symmetric(tmp_path, spd3):
-    path = tmp_path / "s.mtx"
-    write_matrix(path, spd3, symmetric=True)
-    text = path.read_text()
-    assert text.startswith("%%MatrixMarket matrix coordinate real symmetric")
-    back = read_matrix(path)
-    assert back.same_entries(spd3)
-
-
 def test_indices_are_one_based_in_file(tmp_path):
-    A = SquareMatrix.from_entries(3, [(1, 3, 2.5)])
+    A = SquareMatrix.from_dense([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     path = tmp_path / "a.mtx"
     write_matrix(path, A)
     data_lines = [l for l in path.read_text().splitlines() if not l.startswith("%")]
@@ -42,7 +33,7 @@ def test_duplicates_in_file_are_summed(tmp_path):
         "2 1 -3.0\n"
     )
     A = read_matrix(path)
-    assert A.entry(1, 1) == 3.5
+    assert A.csr[0, 0] == 3.5
     assert A.nnz == 3
 
 
@@ -88,11 +79,6 @@ def test_garbage_rejected(tmp_path):
 )
 def test_shipped_fixture_files_match_gallery(name, factory, fixtures_dir):
     assert read_matrix(fixtures_dir / name).same_entries(factory())
-
-
-def test_symmetric_write_rejects_asymmetric_input(tmp_path, lmat3):
-    with pytest.raises(ValueError, match="non-symmetric"):
-        write_matrix(tmp_path / "x.mtx", lmat3, symmetric=True)
 
 
 def test_unwritable_path_raises(tmp_path, lmat3):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsolve import is_m_matrix, is_sdd
+from gsolve import extract_splitting, is_m_matrix, is_sdd
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
@@ -19,23 +19,23 @@ def test_smallest_square_system_is_fully_determined():
     )
     assert np.array_equal(problem.A.to_dense(), want)
     np.testing.assert_array_equal(problem.b, [2.0, 2.0, 2.0, 2.0])
-    assert problem.h == 1.0 / 3.0
-    assert problem.nx == problem.ny == 2
+    # two grid lines of two points: the blocks of the band
+    np.testing.assert_array_equal(extract_splitting(problem.A, 1).blocks(), [0, 2, 4])
 
 
 def test_reaction_term_enters_diagonal():
     # h = 1/4, first grid point (h, h): diagonal 4 + h^2 (h + h) = 4.03125
     problem = assemble(3, "xplusy")
-    assert problem.A.entry(1, 1) == 4.03125
+    assert problem.A.csr[0, 0] == 4.03125
 
 
 def test_row_major_grid_ordering():
     # block index i moves slowest: unknown (i=2, j=1) sits at position ny + 1
     n = 3
     problem = assemble(n, "xplusy")
-    h = problem.h
+    h = 1.0 / (n + 1)
     expected = 4.0 + h * h * (2 * h + 1 * h)
-    assert problem.A.entry(n + 1, n + 1) == pytest.approx(expected, rel=1e-15)
+    assert problem.A.csr[n, n] == pytest.approx(expected, rel=1e-15)
 
 
 def test_builtin_g_values():
@@ -63,13 +63,14 @@ def test_manufactured_solution(layout):
 
 def test_bench_layout_geometry():
     problem = assemble(20, "zero", layout=LAYOUT_BENCH)
-    assert (problem.nx, problem.ny) == (19, 20)
+    # 19 grid lines of 20 points: the blocks of the band
+    np.testing.assert_array_equal(extract_splitting(problem.A, 1).blocks(),
+                                  np.arange(20) * 20)
     assert problem.A.n == 380
-    assert problem.h == 1.0 / 20.0
-    # shifted line coordinates: first diagonal entry samples g at (2h, h)
+    # h = 1/n, and shifted line coordinates: the first diagonal entry samples g at (2h, h)
     shifted = assemble(5, "xplusy", layout=LAYOUT_BENCH)
-    h = shifted.h
-    assert shifted.A.entry(1, 1) == pytest.approx(4.0 + h * h * (2 * h + h), rel=1e-15)
+    h = 1.0 / 5.0
+    assert shifted.A.csr[0, 0] == pytest.approx(4.0 + h * h * (2 * h + h), rel=1e-15)
 
 
 @pytest.mark.parametrize("g_id", ["xplusy", "expxy"])
@@ -103,9 +104,8 @@ def test_callable_reaction_coefficient():
         return 3.0 * x
 
     problem = assemble(3, ramp)
-    assert problem.g_id == "ramp"
-    h = problem.h
-    assert problem.A.entry(1, 1) == pytest.approx(4.0 + h * h * 3.0 * h, rel=1e-15)
+    h = 1.0 / 4.0
+    assert problem.A.csr[0, 0] == pytest.approx(4.0 + h * h * 3.0 * h, rel=1e-15)
 
 
 @pytest.mark.parametrize("layout", [LAYOUT_SQUARE, LAYOUT_BENCH])
