@@ -25,7 +25,7 @@ from .matrices import (
     is_spd,
     is_z_matrix,
 )
-from .mmio import read_matrix, read_vector, write_matrix, write_vector
+from .mmio import read_matrix, write_matrix, write_vector
 from .pde import LAYOUT_BENCH, LAYOUT_SQUARE, G_BUILTINS, PdeProblem, assemble
 from .solvers import (
     FactorizationError,
@@ -68,7 +68,6 @@ __all__ = [
     "iteration_matrix",
     "predict",
     "read_matrix",
-    "read_vector",
     "solve",
     "spectral_radius",
     "write_matrix",

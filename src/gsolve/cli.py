@@ -19,7 +19,7 @@ from .engine import IterationConfig, predict, solve, spectral_radius
 from .matrices import DEFAULT_DENSE_LIMIT, SquareMatrix, classify, comparison_matrix, extract_splitting
 from .mmio import read_matrix, write_matrix, write_vector
 from .pde import LAYOUT_BENCH, LAYOUTS, assemble
-from .solvers import FactorizationError, Method, build_step, iteration_matrix
+from .solvers import FactorizationError, build_step, iteration_matrix
 
 #: Benchmark tables: reaction coefficient per table number.
 TABLE_G = {1: "xplusy", 2: "zero", 3: "expxy", 4: "negexp4xy"}
@@ -92,19 +92,13 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _method_plan(name: str, m: int, omega: float | None):
-    """Map a CLI method token to (label, engine method, m, omega)."""
-    token = name.strip().lower()
-    if token == "sor":
-        if omega is None:
-            raise CliError("method sor needs --omega")
-        return token, Method.GSOR, 0, omega
-    method = Method.parse(token)
-    if method is Method.GSOR and omega is None:
-        raise CliError("method gsor needs --omega")
-    if method in (Method.GJ, Method.GGS):
-        return token, method, m, None
-    return token, method, m, omega
+def _method_plan(token: str, m: int, omega: float | None, **stopping):
+    """Map a CLI method token to (label, config); ``sor`` is GSOR pinned at m = 0."""
+    label = token.strip().lower()
+    if label in ("sor", "gsor") and omega is None:
+        raise CliError(f"method {label} needs --omega")
+    sor = label == "sor"
+    return label, IterationConfig("gsor" if sor else label, 0 if sor else m, omega, **stopping)
 
 
 # -- run ------------------------------------------------------------------
@@ -142,12 +136,8 @@ def _emit_records(fields: tuple[str, ...], rows: list[tuple], fmt: str, out) -> 
 
 
 def _cmd_run(args, out) -> int:
-    plans = []
-    for name in args.method.split(","):
-        label, method, m, omega = _method_plan(name, args.m, args.omega)
-        plans.append((label, IterationConfig(
-            method=method, m=m, omega=omega, tol=args.tol, max_iter=args.max_iter
-        )))
+    plans = [_method_plan(name, args.m, args.omega, tol=args.tol, max_iter=args.max_iter)
+             for name in args.method.split(",")]
     source, A, b, x_exact = _load_source(args)
     rows = []
     failed = False
@@ -175,6 +165,8 @@ TABLE_FIELDS = ("table", "g", "n", "method", "m", "omega", "iterations", "second
 def _cmd_table(args, out) -> int:
     numbers = sorted(TABLE_G) if args.which == "all" else [int(args.which)]
     markdown = args.format == "markdown"
+    plans = [_method_plan(column, args.m, args.omega, tol=args.tol, max_iter=args.max_iter)
+             for column in TABLE_COLUMNS]
     all_converged = True
     rows = []
     for number in numbers:
@@ -183,16 +175,12 @@ def _cmd_table(args, out) -> int:
         for n in TABLE_SIZES:
             problem = assemble(n, g_id, layout=args.layout)
             shown = []
-            for column in TABLE_COLUMNS:
-                _, method, m, omega = _method_plan(column, args.m, args.omega)
-                config = IterationConfig(
-                    method=method, m=m, omega=omega, tol=args.tol, max_iter=args.max_iter
-                )
+            for column, config in plans:
                 report = solve(problem.A, problem.b, config, x_exact=problem.x_exact)
                 all_converged = all_converged and report.converged
                 shown.append(f"{report.iterations}({report.elapsed_seconds:.2f})")
-                rows.append((number, g_id, n, column, m, omega, report.iterations,
-                             report.elapsed_seconds, report.converged))
+                rows.append((number, g_id, n, column, config.m, config.omega,
+                             report.iterations, report.elapsed_seconds, report.converged))
             grid.append((n, *shown))
         if markdown:
             print(f"## Table {number}: g = {g_id} "
@@ -214,8 +202,7 @@ def _tristate(value: bool | None) -> str:
 
 def _cmd_classify(args, out) -> int:
     if args.predict:
-        _, method, m, omega = _method_plan(args.predict, args.m, args.omega)
-        config = IterationConfig(method=method, m=m, omega=omega)
+        _, config = _method_plan(args.predict, args.m, args.omega)
     source, A, _, _ = _load_source(args)
     report = classify(A)
     verdict = predict(A, config, report=report) if args.predict else None
@@ -230,7 +217,8 @@ def _cmd_classify(args, out) -> int:
     for note in report.notes:
         print(f"note: {note}", file=out)
     if verdict is not None:
-        print(f"predict: method={args.predict} m={m} omega={_fmt(omega)}", file=out)
+        print(f"predict: method={args.predict} m={config.m} omega={_fmt(config.omega)}",
+              file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
         print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)
         rho = "unavailable" if verdict.rho_estimate is None else f"{verdict.rho_estimate:.6g}"
@@ -240,13 +228,13 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_rho(args, out) -> int:
+    _, config = _method_plan(args.method, args.m, args.omega)
     _, A, _, _ = _load_source(args)
     if not args.power and A.n > DEFAULT_DENSE_LIMIT:
         raise CliError(
             f"order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; rerun with --power"
         )
-    _, method, m, omega = _method_plan(args.method, args.m, args.omega)
-    op = build_step(extract_splitting(A, m), method, omega)
+    op = build_step(extract_splitting(A, config.m), config.method, config.omega)
     if args.power:
         estimate = spectral_radius(op, mode="power", seed=args.seed)
         reliable = "yes" if estimate.reliable else "no"
@@ -293,11 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_iteration(p, default_format):
+    def method_spec(p, omega=None):
         p.add_argument("--m", type=int, default=1, help="half-bandwidth (default 1)")
-        p.add_argument("--omega", type=float, default=None, help="relaxation factor")
-        p.add_argument("--tol", type=float, default=1e-7, help="stopping tolerance")
-        p.add_argument("--max-iter", type=int, default=10000, help="iteration cap")
+        p.add_argument("--omega", type=float, default=omega, help="relaxation factor")
+
+    def common_iteration(p, default_format, omega=None):
+        method_spec(p, omega)
+        p.add_argument("--tol", type=float, default=IterationConfig.tol,
+                       help="stopping tolerance")
+        p.add_argument("--max-iter", type=int, default=IterationConfig.max_iter,
+                       help="iteration cap")
         p.add_argument("--format", choices=("csv", "markdown", "jsonl"),
                        default=default_format)
 
@@ -310,21 +303,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="reproduce the benchmark iteration tables")
     p_table.add_argument("which", choices=("1", "2", "3", "4", "all"))
     p_table.add_argument("--layout", choices=LAYOUTS, default=LAYOUT_BENCH)
-    common_iteration(p_table, default_format="markdown")
-    p_table.set_defaults(omega=1.5)
+    common_iteration(p_table, default_format="markdown", omega=1.5)
 
     p_cls = sub.add_parser("classify", help="matrix-class certification report")
     _add_source_arguments(p_cls)
     p_cls.add_argument("--predict", metavar="METHOD",
                        help="also predict convergence for gj/ggs/sor/gsor")
-    p_cls.add_argument("--m", type=int, default=1)
-    p_cls.add_argument("--omega", type=float, default=None)
+    method_spec(p_cls)
 
     p_rho = sub.add_parser("rho", help="spectral radius of an iteration matrix")
     _add_source_arguments(p_rho)
     p_rho.add_argument("--method", required=True, help="gj, ggs, sor, or gsor")
-    p_rho.add_argument("--m", type=int, default=1)
-    p_rho.add_argument("--omega", type=float, default=None)
+    method_spec(p_rho)
     p_rho.add_argument("--power", action="store_true",
                        help="no order limit; ARPACK above order 200, dense up to it")
     p_rho.add_argument("--seed", type=int, default=0,

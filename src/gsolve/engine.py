@@ -30,8 +30,9 @@ from .matrices import (
     extract_splitting,
     is_m_matrix,
     is_z_matrix,
+    require_integer,
 )
-from .solvers import Method, StepOperator, build_step, iteration_matrix
+from .solvers import Method, StepOperator, build_step, iteration_matrix, relaxation_factor
 
 #: A solve is declared divergent once the successive-difference norm exceeds
 #: this multiple of the first difference.
@@ -40,11 +41,13 @@ DIVERGENCE_GUARD = 1e12
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Method selection and stopping parameters for :func:`solve`.
+    """Validated method spec and stopping parameters for :func:`solve`.
 
-    The stopping rule is the 2-norm of successive differences dropping to
-    ``tol``; the iterate count reported is the number of steps performed
-    when the test first passes.
+    ``m`` and ``max_iter`` must be whole numbers; ``omega`` becomes None for
+    GJ and GGS (:func:`~gsolve.solvers.relaxation_factor`).  The stopping
+    rule is the 2-norm of successive differences dropping to ``tol``; the
+    iterate count reported is the number of steps performed when the test
+    first passes.
     """
 
     method: Method | str
@@ -54,20 +57,17 @@ class IterationConfig:
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "method", Method.parse(self.method))
+        method = Method.parse(self.method)
+        object.__setattr__(self, "method", method)
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        object.__setattr__(self, "max_iter", require_integer("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        object.__setattr__(self, "m", require_integer("half-bandwidth m", self.m))
         if self.m < 0:
             raise ValueError(f"half-bandwidth m must be >= 0, got {self.m}")
-        if self.method is Method.GSOR:
-            if self.omega is None:
-                raise ValueError("gsor requires a relaxation factor omega")
-            if self.omega == 0.0 or not math.isfinite(self.omega):
-                raise ValueError(
-                    f"omega must be finite and nonzero for gsor, got {self.omega}"
-                )
+        object.__setattr__(self, "omega", relaxation_factor(method, self.omega))
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,9 @@ def _regular_factor(op: StepOperator) -> SuperLU | None:
     M^{-1} >= 0 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
     Sciences, SIAM 1994, ch. 6).
     """
-    if np.any(op.n_part.data < 0.0) or not is_z_matrix(SquareMatrix.from_csr(op.m_part)):
+    if np.any(op.n_part.data < 0.0) or not is_z_matrix(SquareMatrix(op.m_part)):
         return None
-    return certify_m(SquareMatrix.from_csr(op.m_part - op.n_part))[0]
+    return certify_m(SquareMatrix(op.m_part - op.n_part))[0]
 
 
 def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEstimate:
@@ -359,7 +359,7 @@ def predict(
     # (band^{-1} >= 0), and 1/omega - c = 1 - 1/omega > 0.  The margin is
     # certified before the step operator is built, so its LU is freed first.
     if (method is Method.GSOR and omega > 1.0 and report.is_m
-            and is_m_matrix(SquareMatrix.from_csr(
+            and is_m_matrix(SquareMatrix(
                 (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
                 - splitting.upper.csr))[0]):
         tags.append(TAG_OVERRELAXED_M)

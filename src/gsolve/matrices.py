@@ -37,55 +37,46 @@ WITNESS_TOL = 1e-12
 SPLU_PANEL_SIZE = 1
 
 
-def _canonical(mat) -> sp.csr_array:
-    """Return a CSR copy with duplicates summed, zeros dropped, indices sorted."""
-    csr = sp.csr_array(mat, dtype=np.float64)
-    csr.sum_duplicates()
-    csr.eliminate_zeros()
-    csr.sort_indices()
-    return csr
-
-
 @dataclass(frozen=True, eq=False)
 class SquareMatrix:
     """Real n-by-n matrix in sparse CSR form.
 
-    The order is positive.  Stored entries are finite, nonzero and unique
-    per coordinate; duplicate coordinates passed to a constructor are summed
-    (Matrix Market convention), and NaN or infinite entries are rejected.
+    The constructor takes any 2-D array that ``scipy.sparse.csr_array``
+    accepts (dense, COO, CSR, ...) and stores a float64 CSR copy with
+    duplicate coordinates summed (Matrix Market convention), zeros dropped
+    and indices sorted.  It rejects a non-square array, order 0 and NaN or
+    infinite entries, so every instance has a positive order and finite,
+    nonzero entries, one per coordinate.
     """
 
-    n: int
     csr: sp.csr_array
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        if not np.all(np.isfinite(self.csr.data)):
-            raise ValueError("matrix entries must be finite, got NaN or inf")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_csr(cls, mat) -> "SquareMatrix":
-        csr = _canonical(mat)
-        rows, cols = csr.shape
-        if rows != cols:
+        csr = sp.csr_array(self.csr, dtype=np.float64, copy=True)
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        csr.sort_indices()
+        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        return cls(rows, csr)
+        if csr.shape[0] < 1:
+            raise ValueError(f"order must be positive, got {csr.shape[0]}")
+        if not np.all(np.isfinite(csr.data)):
+            raise ValueError("matrix entries must be finite, got NaN or inf")
+        object.__setattr__(self, "csr", csr)
 
     @classmethod
     def from_dense(cls, arr) -> "SquareMatrix":
-        dense = np.asarray(arr, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {dense.shape}")
-        return cls.from_csr(sp.csr_array(dense))
+        return cls(np.asarray(arr, dtype=np.float64))
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls.from_csr(sp.eye_array(n, format="csr"))
+        return cls(sp.eye_array(n, format="csr"))
 
     # -- queries ------------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
@@ -107,7 +98,7 @@ class SquareMatrix:
 
     def is_symmetric(self) -> bool:
         """Exact symmetry of stored entries, without tolerance."""
-        return _canonical(self.csr - self.csr.T).nnz == 0
+        return (self.csr != self.csr.T).nnz == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +126,7 @@ class BandedSplitting:
 
     def reassemble(self) -> SquareMatrix:
         """The original matrix, reconstructed as band - lower - upper."""
-        return SquareMatrix.from_csr(
-            self.band.csr - self.lower.csr - self.upper.csr
-        )
+        return SquareMatrix(self.band.csr - self.lower.csr - self.upper.csr)
 
     def blocks(self) -> np.ndarray:
         """Bounds of the diagonal blocks of the band: block k is [b[k], b[k+1]).
@@ -155,25 +144,29 @@ class BandedSplitting:
         return np.concatenate(([0], cuts, [self.n]))
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a whole number."""
+    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name}={value} is not an integer")
+
+
 def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:
     """Split A into band part and negated outside-band triangles.
 
     m is the half-bandwidth: the band part has width 2m + 1.  Requires an
     integral m with 0 <= m <= n - 1.
     """
+    m = require_integer("half-bandwidth m", m)
     if not 0 <= m <= A.n - 1:
         raise ValueError(f"half-bandwidth m={m} outside [0, {A.n - 1}]")
-    if m != int(m):
-        raise ValueError(f"half-bandwidth m={m} is not an integer")
     coo = A.csr.tocoo()
     diff = coo.row.astype(np.int64) - coo.col.astype(np.int64)
 
     def part(mask: np.ndarray, negate: bool) -> SquareMatrix:
         data = -coo.data[mask] if negate else coo.data[mask]
-        mat = sp.coo_array(
-            (data, (coo.row[mask], coo.col[mask])), shape=(A.n, A.n)
-        )
-        return SquareMatrix(A.n, _canonical(mat))
+        rows, cols = coo.row[mask], coo.col[mask]
+        return SquareMatrix(sp.coo_array((data, (rows, cols)), shape=(A.n, A.n)))
 
     return BandedSplitting(
         m=m,
@@ -192,8 +185,7 @@ def comparison_matrix(A: SquareMatrix) -> SquareMatrix:
     coo = A.csr.tocoo()
     on_diag = coo.row == coo.col
     data = np.where(on_diag, np.abs(coo.data), -np.abs(coo.data))
-    mat = sp.coo_array((data, (coo.row, coo.col)), shape=(A.n, A.n))
-    return SquareMatrix(A.n, _canonical(mat))
+    return SquareMatrix(sp.coo_array((data, (coo.row, coo.col)), shape=(A.n, A.n)))
 
 
 # -- class predicates --------------------------------------------------

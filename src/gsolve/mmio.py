@@ -22,10 +22,9 @@ def read_matrix(path: str | Path) -> SquareMatrix:
     if field not in ("real", "integer", "pattern"):
         raise ValueError(f"{path}: unsupported field {field!r}, need real data")
     mat = scipy.io.mmread(path)
-    mat = sp.csr_array(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    return SquareMatrix.from_csr(mat)
+    return SquareMatrix(mat)
 
 
 def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
@@ -43,8 +42,3 @@ def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
 def write_vector(path: str | Path, v: np.ndarray) -> None:
     """Write a vector as whitespace-delimited text, one component per line."""
     np.savetxt(path, np.asarray(v, dtype=np.float64).reshape(-1), fmt="%.17g")
-
-
-def read_vector(path: str | Path) -> np.ndarray:
-    """Read a whitespace-delimited vector written by :func:`write_vector`."""
-    return np.atleast_1d(np.loadtxt(path, dtype=np.float64))

@@ -103,6 +103,6 @@ def assemble(
         offsets=[0, -1, 1, -ny, ny],
         format="csr",
     )
-    A = SquareMatrix.from_csr(mat)
+    A = SquareMatrix(mat)
     x_exact = np.ones(size)
     return PdeProblem(A=A, b=A.csr @ x_exact, x_exact=x_exact)

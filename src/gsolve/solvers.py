@@ -50,6 +50,19 @@ class Method(str, Enum):
             raise ValueError(f"unknown method {name!r}; expected one of {valid}") from None
 
 
+def relaxation_factor(method: Method, omega: float | None) -> float | None:
+    """The omega a method uses: None for GJ and GGS; for GSOR, ``omega`` as a
+    float, which must be given, finite and nonzero."""
+    if method is not Method.GSOR:
+        return None
+    if omega is None:
+        raise ValueError("gsor requires a relaxation factor omega")
+    omega = float(omega)
+    if omega == 0.0 or not np.isfinite(omega):
+        raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
+    return omega
+
+
 class FactorizationError(RuntimeError):
     """The M part of a splitting could not be factorized (singular)."""
 
@@ -204,19 +217,16 @@ def build_step(
     SuperLU routes factorize one column at a time (``SPLU_PANEL_SIZE``).  A
     singular M raises :class:`FactorizationError`.
 
-    GSOR requires a finite omega != 0; any such omega is accepted.  Which
-    omega a convergence theorem covers on which matrix class is decided by
-    :func:`~gsolve.engine.predict` (its ``guarantee_source``).
+    GSOR requires a finite omega != 0 and accepts any such omega, by the
+    check :class:`~gsolve.engine.IterationConfig` makes (:func:`relaxation_factor`).
+    Which omega a convergence theorem covers on which matrix class is decided
+    by :func:`~gsolve.engine.predict` (its ``guarantee_source``).
     """
     method = Method.parse(method)
+    omega = relaxation_factor(method, omega)
     band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
 
     if method is Method.GSOR:
-        if omega is None:
-            raise ValueError("gsor requires a relaxation factor omega")
-        omega = float(omega)
-        if omega == 0.0 or not np.isfinite(omega):
-            raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
         m_part = sp.csr_array(band - omega * lower)
         n_part = sp.csr_array((1.0 - omega) * band + omega * upper)
         rhs_scale = omega

@@ -564,7 +564,6 @@ class TestExport:
         assert read_matrix(out_path).same_entries(want)
 
     def test_assembled_system_export(self, capsys, tmp_path):
-        from gsolve import read_vector
         from gsolve.pde import LAYOUT_BENCH, assemble
 
         matrix_path = tmp_path / "a.mtx"
@@ -579,8 +578,8 @@ class TestExport:
             assert code == 0
         problem = assemble(4, "expxy", layout=LAYOUT_BENCH)
         assert read_matrix(matrix_path).same_entries(problem.A)
-        np.testing.assert_array_equal(read_vector(rhs_path), problem.b)
-        np.testing.assert_array_equal(read_vector(exact_path), problem.x_exact)
+        np.testing.assert_array_equal(np.loadtxt(rhs_path), problem.b)
+        np.testing.assert_array_equal(np.loadtxt(exact_path), problem.x_exact)
 
     @pytest.mark.parametrize("what", ["matrix", "rhs"])
     def test_unwritable_path_is_a_usage_error(self, capsys, tmp_path, what):
@@ -606,6 +605,24 @@ def test_order_zero_file_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "order must be positive, got 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--method", "bogus"], "unknown method 'bogus'"),
+    (["classify", "--predict", "gsor"], "method gsor needs --omega"),
+    (["rho", "--method", "bogus"], "unknown method 'bogus'"),
+    (["rho", "--method", "gsor", "--omega", "nan"], "omega must be finite and nonzero for gsor"),
+], ids=["run-method", "classify-omega", "rho-method", "rho-omega"])
+def test_bad_method_spec_is_rejected_before_the_source_is_assembled(
+        capsys, monkeypatch, argv, message):
+    assembled = []
+    assemble = gsolve.cli.assemble
+    monkeypatch.setattr(gsolve.cli, "assemble",
+                        lambda *args, **kwargs: assembled.append(args) or assemble(*args, **kwargs))
+    code, out, err = run_cli(capsys, argv[0], "--pde", "g=negexp4xy", "n=150", *argv[1:])
+    assert (code, out) == (2, "")
+    assert message in err
+    assert assembled == []
 
 
 @pytest.mark.parametrize("command", ["classify", "rho"])

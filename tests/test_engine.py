@@ -57,14 +57,14 @@ def _shifted_z_matrix(n, rng):
 
 def _margin_certified(splitting, omega):
     """The overrelaxed-GSOR certificate: (2/omega - 1) band - lower - upper is an M-matrix."""
-    return is_m_matrix(SquareMatrix.from_csr(
+    return is_m_matrix(SquareMatrix(
         (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
         - splitting.upper.csr))[0]
 
 
 def _m_part_certified(op):
     """GSOR's M part band - omega*lower is an M-matrix, witnessed through op's factor."""
-    witness = positive_witness(SquareMatrix.from_csr(op.m_part), op.solve_m(np.ones(op.n)))
+    witness = positive_witness(SquareMatrix(op.m_part), op.solve_m(np.ones(op.n)))
     return witness[0] is not None
 
 
@@ -112,6 +112,32 @@ class TestIterationConfig:
 
     def test_method_normalized(self):
         assert IterationConfig("GGS", m=0).method is Method.GGS
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iter", 10.5, "max_iter=10.5 is not an integer"),
+        ("max_iter", float("nan"), "max_iter=nan is not an integer"),
+        ("max_iter", float("inf"), "max_iter=inf is not an integer"),
+        ("m", 1.5, "half-bandwidth m=1.5 is not an integer"),
+        ("m", "1", "half-bandwidth m=1 is not an integer"),
+    ])
+    def test_non_integral_m_or_max_iter_rejected(self, monkeypatch, field, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the splitting was extracted for an invalid config")
+
+        monkeypatch.setattr(gsolve.engine, "extract_splitting", refuse)
+        with pytest.raises(ValueError, match=message):
+            config = IterationConfig("gj", **{"m": 1, field: value})
+            solve(SquareMatrix.identity(3), np.ones(3), config)
+
+    def test_whole_float_counts_are_stored_as_int(self):
+        config = IterationConfig("gj", m=1.0, max_iter=10.0)
+        assert (config.m, config.max_iter) == (1, 10)
+        assert type(config.m) is int and type(config.max_iter) is int
+
+    def test_omega_is_dropped_for_gj_and_ggs(self):
+        assert IterationConfig("gj", m=1, omega=1.5).omega is None
+        assert IterationConfig("ggs", m=1, omega=float("nan")).omega is None
+        assert IterationConfig("gsor", m=1, omega=1).omega == 1.0
 
 
 class TestSolve:
@@ -409,8 +435,8 @@ class TestRegularSplittingRoute:
             m, omega = data.draw(st.integers(0, top), label="m"), None
         op = build_step(extract_splitting(A, m), method, omega)
         regular = (bool(np.all(op.n_part.data >= 0.0))
-                   and is_z_matrix(SquareMatrix.from_csr(op.m_part))
-                   and is_m_matrix(SquareMatrix.from_csr(op.m_part - op.n_part))[0])
+                   and is_z_matrix(SquareMatrix(op.m_part))
+                   and is_m_matrix(SquareMatrix(op.m_part - op.n_part))[0])
         assert (_regular_factor(op) is not None) == regular
 
     @staticmethod

@@ -39,8 +39,8 @@ def matrix_and_bandwidth(draw, max_n=7, elements=None):
 
 
 def _from_triples(n, rows, cols, vals):
-    """SquareMatrix.from_csr of 0-based (row, col, value) triples."""
-    return SquareMatrix.from_csr(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+    """SquareMatrix of 0-based (row, col, value) triples."""
+    return SquareMatrix(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
 
 
 class TestSquareMatrix:
@@ -76,20 +76,37 @@ class TestSquareMatrix:
         with pytest.raises(ValueError):
             SquareMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         with pytest.raises(ValueError, match="matrix must be square"):
-            SquareMatrix.from_csr(sp.csr_array(np.ones((2, 3))))
+            SquareMatrix(sp.csr_array(np.ones((2, 3))))
+        for bad in (np.ones((3, 4)), np.ones(3)):
+            with pytest.raises(ValueError, match="must be square"):
+                SquareMatrix(bad)
+
+    def test_constructor_takes_any_square_array(self):
+        A = SquareMatrix(np.eye(3))
+        assert A.n == 3
+        assert A.same_entries(SquareMatrix.identity(3))
+        # (0, 0) appears twice and (1, 0) is stored as an explicit zero
+        coo = sp.coo_array(([1.0, 2.0, 0.0, 4.0], ([0, 0, 1, 1], [0, 0, 0, 1])), shape=(2, 2))
+        assert SquareMatrix(coo).same_entries(SquareMatrix.from_dense([[3.0, 0.0], [0.0, 4.0]]))
+
+    def test_constructor_keeps_no_reference_to_its_argument(self):
+        csr = sp.csr_array(np.eye(2))
+        A = SquareMatrix(csr)
+        csr.data[:] = 7.0
+        assert A.same_entries(SquareMatrix.identity(2))
 
     def test_order_zero_rejected_by_every_constructor(self):
         for build in (
-            lambda: SquareMatrix.from_csr(sp.csr_array((0, 0))),
+            lambda: SquareMatrix(sp.csr_array((0, 0))),
             lambda: SquareMatrix.from_dense(np.zeros((0, 0))),
-            lambda: SquareMatrix(0, sp.csr_array((0, 0))),
+            lambda: SquareMatrix.identity(0),
         ):
             with pytest.raises(ValueError, match="order must be positive, got 0"):
                 build()
 
     def test_same_entries_and_transpose(self):
         A = SquareMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
-        transpose = SquareMatrix.from_csr(A.csr.T)
+        transpose = SquareMatrix(A.csr.T)
         assert A.same_entries(A)
         assert not A.same_entries(transpose)
         assert not A.same_entries(SquareMatrix.identity(3))
@@ -109,7 +126,7 @@ class TestExtractSplitting:
         band = np.array([[410.0, -195.0, 0.0], [-195.0, 151.0, 112.0], [0.0, 112.0, 132.0]])
         assert np.array_equal(s.band.to_dense(), band)
         assert np.array_equal(s.lower.to_dense(), [[0.0] * 3, [0.0] * 3, [90.0, 0.0, 0.0]])
-        assert s.upper.same_entries(SquareMatrix.from_csr(s.lower.csr.T))
+        assert s.upper.same_entries(SquareMatrix(s.lower.csr.T))
         assert s.reassemble().same_entries(spd3)
 
     def test_full_band_is_whole_matrix(self, lmat3):
@@ -178,7 +195,7 @@ class TestBandBlocks:
     def test_band_entry_across_a_line_boundary_merges_the_lines(self):
         csr = sp.lil_array(assemble(40, "xplusy", layout=LAYOUT_BENCH).A.csr)
         csr[39, 40] = -0.5  # last point of line 0, first point of line 1
-        blocks = extract_splitting(SquareMatrix.from_csr(csr), 1).blocks()
+        blocks = extract_splitting(SquareMatrix(csr), 1).blocks()
         assert blocks.size - 1 == 38
         np.testing.assert_array_equal(blocks[:3], [0, 80, 120])
 

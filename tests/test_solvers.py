@@ -91,8 +91,8 @@ class TestBuildStep:
             gj = build_step(s, "gj")
             ggs = build_step(s, "ggs")
             # M - N recovers A exactly for GJ/GGS
-            assert SquareMatrix.from_csr(gj.m_part - gj.n_part).same_entries(A)
-            assert SquareMatrix.from_csr(ggs.m_part - ggs.n_part).same_entries(A)
+            assert SquareMatrix(gj.m_part - gj.n_part).same_entries(A)
+            assert SquareMatrix(ggs.m_part - ggs.n_part).same_entries(A)
             # and omega * A for GSOR, at assembly precision
             omega = rng.uniform(0.1, 1.0)
             gsor = build_step(s, "gsor", omega)
@@ -349,7 +349,7 @@ class TestOrdering:
         pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 0, 0, id="bench-m0"),
         pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 1, 1, id="bench-m1"),
         pytest.param(assemble(40, "zero", layout=LAYOUT_BENCH).A, 2, 1, id="bench-m2"),
-        pytest.param(SquareMatrix.from_csr(sp.diags_array(
+        pytest.param(SquareMatrix(sp.diags_array(
             [-1.0, -1.0, -1.0, 7.0, -1.0, -1.0, -1.0], offsets=[-7, -2, -1, 0, 1, 2, 7],
             shape=(57, 57))), 2, 2, id="pentadiagonal-m2"),
     ])
