@@ -250,6 +250,7 @@ def _cmd_rho(args, out) -> int:
 
 
 def _cmd_export(args, out) -> int:
+    IterationConfig("gj", args.m)  # rejects a negative --m before the source is read
     source, A, b, x_exact = _load_source(args)
     if args.what in ("rhs", "exact"):
         vector = b if args.what == "rhs" else x_exact

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigs
+from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigs
 
 from .matrices import (
     ClassificationReport,
@@ -231,7 +231,7 @@ def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEst
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         lams, vecs = eigs(op, k=1, which="LM", v0=v0)
-    except ArpackNoConvergence:
+    except ArpackError:  # no convergence, or no shift could be applied
         return PowerEstimate(float("nan"), np.inf, False, steps)
     lam, v = lams[0], vecs[:, 0]
     if apply_regular is not None:

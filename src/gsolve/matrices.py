@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky_banded
 from scipy.sparse.linalg import SuperLU, splu
 
-#: Fixed largest order for the SPD test of :func:`classify`, a banded Cholesky
-#: whose (kd + 1) * n band storage reaches n^2 when an entry lies far from the
-#: diagonal, and for an explicit iteration matrix (``iteration_matrix``, the
-#: CLI's dense ``rho``).  Above it, ``classify`` reports SPD as undetermined
-#: and ``rho`` needs ``--power``.
+#: Fixed largest order for an explicit iteration matrix (``iteration_matrix``,
+#: the CLI's dense ``rho``, which needs ``--power`` above it).  ``classify``
+#: also reports SPD as undetermined above it, although its SPD test costs no
+#: more than the LU ``certify_m`` already makes: the benchmark's recorded
+#: verdicts at order 22 350 (``perfbench/workloads.py``) pin that output.
 DEFAULT_DENSE_LIMIT = 2000
 
 #: Smallest admissible component of an M-matrix witness after scaling the
@@ -217,36 +216,50 @@ def is_l_matrix(A: SquareMatrix) -> bool:
     return is_z_matrix(A) and bool(np.all(A.csr.diagonal() > 0.0))
 
 
+def _unpivoted_lu(A: SquareMatrix) -> SuperLU | None:
+    """Sparse LU of A without row pivoting; None when A is exactly singular.
+
+    Columns are ordered by minimum degree on A^T + A, which suits the
+    structurally symmetric PDE matrices better than the default COLAMD
+    (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 7), and
+    factorized one at a time (``SPLU_PANEL_SIZE``).  With
+    ``diag_pivot_thresh=0`` the rows follow the column order: SuperLU swaps a
+    row only at a zero pivot.
+    """
+    try:
+        return splu(sp.csc_array(A.csr), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, panel_size=SPLU_PANEL_SIZE)
+    except RuntimeError:
+        return None
+
+
+def _positive_pivots(lu: SuperLU | None) -> bool:
+    """An elimination that swapped no row and met only positive pivots."""
+    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+            and bool(np.all(lu.U.diagonal() > 0.0)))
+
+
 def certify_m(A: SquareMatrix) -> tuple[SuperLU | None, np.ndarray | None, str | None]:
     """Nonsingular M-matrix certificate: (factor, witness, note).
 
-    Factorizes A by one sparse LU and solves A x = e (all-ones) with it.  For
-    a Z-matrix, x strictly positive (see :func:`positive_witness`) is
-    equivalent to A being a nonsingular M-matrix, and (x, Ax = e) is then a
-    storable witness pair; the witness is scaled to unit max-norm.  A
-    certified A returns (its SuperLU factor, the witness, None), which the
-    regular-splitting radius reuses; any other A returns (None, None, the
-    reason).  The LU orders columns by minimum degree on A^T + A, which
-    suits the structurally symmetric PDE matrices better than the default
-    COLAMD (Davis, Direct Methods for Sparse Linear Systems, SIAM 2006,
-    ch. 7), and factorizes one column at a time (``SPLU_PANEL_SIZE``).
+    Factorizes A by one sparse LU without row pivoting (:func:`_unpivoted_lu`)
+    and solves A x = e (all-ones) with it.  For a Z-matrix, x strictly
+    positive (see :func:`positive_witness`) is equivalent to A being a
+    nonsingular M-matrix, and (x, Ax = e) is then a storable witness pair;
+    the witness is scaled to unit max-norm.  A certified A returns (its
+    SuperLU factor, the witness, None), which the regular-splitting radius
+    and the SPD test reuse; any other A returns (None, None, the reason).
 
-    It eliminates without row pivoting (``diag_pivot_thresh=0``), so the
-    rows follow the column order.  A Z-matrix is a nonsingular M-matrix iff
-    that elimination meets only positive pivots, and on an M-matrix it is
+    A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
+    meets only positive pivots, and on an M-matrix that elimination is
     stable (Funderlic & Plemmons, Linear Algebra Appl. 41, 1981); a poor
-    pivot on any other input can only fail the witness test.  Partial
-    pivoting swapped rows on Z-matrices that are not M-matrices and spoiled
-    the column order: the LU of predict's overrelaxed-GSOR margin on the
-    9900-unknown bench grid at omega = 1.5 took 7.8 s and 14.5 M L+U
-    entries instead of 17 ms and A's 368 920 (2 vCPUs, 1 BLAS thread).
+    pivot on any other input can only fail the witness test.  Rows follow
+    the column order, so the LU keeps that order's fill.
     """
     if not is_z_matrix(A):
         return None, None, "not a Z-matrix"
-    try:
-        lu = splu(sp.csc_array(A.csr), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, panel_size=SPLU_PANEL_SIZE)
-    except RuntimeError:  # exactly singular
+    lu = _unpivoted_lu(A)
+    if lu is None:
         return None, None, "singular"
     witness, note = positive_witness(A, lu.solve(np.ones(A.n)))
     return (None if witness is None else lu), witness, note
@@ -285,32 +298,17 @@ def is_h_matrix(A: SquareMatrix) -> bool:
     return certify_m(comparison_matrix(A))[1] is not None
 
 
-def _spd_factor(A: SquareMatrix) -> np.ndarray | None:
-    """Cholesky factor in lower band storage if A is exactly symmetric and
-    positive definite (see ``ClassificationReport.spd_witness``).
-
-    LAPACK ``pbtrf`` costs n * kd^2 operations instead of the dense n^3 / 3.
-    """
-    if not A.is_symmetric():
-        return None
-    lower = sp.tril(A.csr).tocoo()
-    offset = lower.row - lower.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, A.n))
-    band[offset, lower.col] = lower.data
-    try:
-        return cholesky_banded(band, lower=True)
-    except LinAlgError:
-        return None
-
-
 def is_spd(A: SquareMatrix) -> bool:
-    """Exact symmetry plus a completed Cholesky factorization.
+    """Exact symmetry plus only positive pivots in :func:`_unpivoted_lu`.
 
-    Symmetry is exact equality of stored entries, not tolerance-based;
-    nearly-symmetric inputs are rejected on purpose.  The factorization is
-    banded, so its cost grows with the square of A's half-bandwidth.
+    A symmetric matrix is positive definite iff elimination without
+    pivoting meets only positive pivots (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., SIAM 2002, ch. 10).  A zero pivot makes
+    SuperLU swap a row, so it reads as "not SPD".  Symmetry is exact
+    equality of stored entries, not tolerance-based; nearly-symmetric inputs
+    are rejected on purpose.
     """
-    return _spd_factor(A) is not None
+    return A.is_symmetric() and _positive_pivots(_unpivoted_lu(A))
 
 
 @dataclass(frozen=True)
@@ -320,9 +318,6 @@ class ClassificationReport:
     ``is_spd`` is ``None`` (undetermined) when the order exceeds
     ``DEFAULT_DENSE_LIMIT``; the scan- and solve-based predicates are always
     decided.
-    ``spd_witness`` is the Cholesky factor in LAPACK lower band storage,
-    shape (kd + 1, n) with kd the half-bandwidth: ``L[j + k, j]`` is
-    ``spd_witness[k, j]``.
     """
 
     is_sdd: bool
@@ -332,21 +327,21 @@ class ClassificationReport:
     is_h: bool
     is_spd: bool | None
     m_witness: np.ndarray | None
-    spd_witness: np.ndarray | None
     notes: tuple[str, ...]
 
 
 def classify(A: SquareMatrix) -> ClassificationReport:
     """Run every class predicate and collect witnesses and notes.
 
-    The SPD test runs up to order ``DEFAULT_DENSE_LIMIT``.
+    The SPD test runs up to order ``DEFAULT_DENSE_LIMIT`` and reads the
+    pivots of ``certify_m``'s factor of A when there is one.
     """
     notes: list[str] = []
     sdd = is_sdd(A)
     z = is_z_matrix(A)
     l_ok = is_l_matrix(A)
-    # the factor is dropped at once: the report keeps only the witness
-    m_witness, m_note = certify_m(A)[1:]
+    # the factor is dropped after the SPD test: the report keeps the witness
+    lu, m_witness, m_note = certify_m(A)
     m_ok = m_witness is not None
     if m_note:
         notes.append(f"m: {m_note}")
@@ -358,13 +353,10 @@ def classify(A: SquareMatrix) -> ClassificationReport:
     if h_note:
         notes.append(f"h (comparison matrix): {h_note}")
 
-    spd: bool | None
-    spd_witness: np.ndarray | None
+    spd: bool | None = None
     if A.n <= DEFAULT_DENSE_LIMIT:
-        spd_witness = _spd_factor(A)
-        spd = spd_witness is not None
+        spd = A.is_symmetric() and _positive_pivots(lu if lu is not None else _unpivoted_lu(A))
     else:
-        spd, spd_witness = None, None
         notes.append(
             f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
         )
@@ -380,6 +372,5 @@ def classify(A: SquareMatrix) -> ClassificationReport:
         is_h=h_ok,
         is_spd=spd,
         m_witness=m_witness,
-        spd_witness=spd_witness,
         notes=tuple(notes),
     )

@@ -21,10 +21,7 @@ def read_matrix(path: str | Path) -> SquareMatrix:
     field = scipy.io.mminfo(path)[4]
     if field not in ("real", "integer", "pattern"):
         raise ValueError(f"{path}: unsupported field {field!r}, need real data")
-    mat = scipy.io.mmread(path)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{path}: matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    return SquareMatrix(mat)
+    return SquareMatrix(scipy.io.mmread(path))
 
 
 def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:

@@ -625,6 +625,19 @@ def test_bad_method_spec_is_rejected_before_the_source_is_assembled(
     assert assembled == []
 
 
+@pytest.mark.parametrize("what", ["matrix", "band", "rhs"])
+def test_negative_export_bandwidth_is_rejected_before_the_source_is_assembled(
+        capsys, monkeypatch, tmp_path, what):
+    assembled = []
+    monkeypatch.setattr(gsolve.cli, "assemble", lambda *args, **kwargs: assembled.append(args))
+    path = tmp_path / "out"
+    code, out, err = run_cli(capsys, "export", "--pde", "g=zero", "n=20",
+                             "--what", what, "--m", "-1", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert "half-bandwidth m must be >= 0, got -1" in err
+    assert assembled == [] and not path.exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "rho"])
 def test_no_dense_limit_option(capsys, command):
     with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
 import gsolve.engine
 import gsolve.matrices
@@ -314,6 +314,15 @@ class TestSpectralRadius:
         assert not estimate.reliable
         assert estimate.error_bound == np.inf
 
+    def test_power_flags_arpack_error(self, monkeypatch):
+        def no_shifts(*args, **kwargs):
+            raise ArpackError(3)  # no shifts could be applied during a cycle
+
+        monkeypatch.setattr(gsolve.engine, "eigs", no_shifts)
+        estimate = _operator_radius(lambda v: 0.5 * v, SMALL_ORDER + 10, 0)
+        assert not estimate.reliable and np.isnan(estimate.value)
+        assert estimate.error_bound == np.inf
+
     def test_power_handles_complex_dominant_pair(self):
         # rotation: eigenvalues +-i, modulus exactly 1, no real eigenpair
         op = _operator_of([[0.0, -1.0], [1.0, 0.0]])
@@ -615,7 +624,7 @@ class TestPredict:
 
     def test_rho_reported_above_spd_limit(self, spd3):
         def spd_undetermined(A):
-            return dataclasses.replace(classify(A), is_spd=None, spd_witness=None)
+            return dataclasses.replace(classify(A), is_spd=None)
 
         problem = assemble(15, "zero")  # order 225: the ARPACK path
         verdict = predict(

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestPredicates:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans(), st.data())
-    def test_banded_cholesky_matches_dense(self, n, seed, definite, data):
+    def test_banded_spd_verdict_matches_dense_cholesky(self, n, seed, definite, data):
         kd = data.draw(st.integers(0, n - 1), label="kd")
         rng = np.random.default_rng(seed)
         base = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -384,15 +385,6 @@ class TestPredicates:
 
         report = classify(SquareMatrix.from_dense(sym))
         assert report.is_spd == dense_verdict == definite
-        if not definite:
-            assert report.spd_witness is None
-            return
-        band = report.spd_witness
-        assert band.shape == (kd + 1, n)
-        L = np.zeros((n, n))
-        for k in range(kd + 1):
-            L[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
-        assert np.abs(L @ L.T - sym).max() <= 1e-12 * np.linalg.norm(sym, 2)
 
 
 def _negative_diagonal_z_matrix(n, rng):
@@ -469,6 +461,41 @@ class TestClassify:
         report = classify(SquareMatrix.identity(3))
         assert report.is_sdd and report.is_z and report.is_l
         assert report.is_m and report.is_h and report.is_spd
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_spd_of_a_symmetric_z_matrix_is_its_m_verdict(self, n, seed, definite):
+        # a symmetric Z-matrix is positive definite iff it is a nonsingular M-matrix
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        a = np.diag(rng.uniform(0.0, 2.0, n)) - np.triu(b, 1) - np.triu(b, 1).T
+        # shift the spectrum so the smallest eigenvalue is +-[0.1, 1]
+        target = rng.uniform(0.1, 1.0) * (1.0 if definite else -1.0)
+        A = SquareMatrix.from_dense(a + (target - np.linalg.eigvalsh(a)[0]) * np.eye(n))
+        report = classify(A)
+        assert report.is_spd == report.is_m == is_spd(A) == definite
+
+    @pytest.mark.parametrize("corner", [-1.0, 1.0])
+    def test_spd_of_far_entries_needs_no_band_storage(self, corner):
+        n = 2000
+        A = SquareMatrix(sp.diags_array([np.full(n, 4.0), [corner], [corner]],
+                                        offsets=[0, n - 1, 1 - n]))
+        tracemalloc.start()
+        try:
+            report = classify(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_spd is True
+        assert report.is_m == (corner < 0)
+        assert peak < 4 * 2**20  # an n^2 band would take 32 MB
+
+    def test_classify_factorizes_a_bench_matrix_once(self):
+        A = assemble(40, "zero", layout=LAYOUT_BENCH).A
+        with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as spy:
+            report = classify(A)
+        assert report.is_m and report.is_h and report.is_spd
+        assert spy.call_count == 1
 
     def test_spd_undetermined_above_dense_limit(self):
         A = assemble(46, "zero", layout=LAYOUT_BENCH).A  # order 2070

@@ -44,7 +44,7 @@ def test_rectangular_rejected(tmp_path):
         "2 3 1\n"
         "1 1 1.0\n"
     )
-    with pytest.raises(ValueError, match="not square"):
+    with pytest.raises(ValueError, match="must be square"):
         read_matrix(path)
 
 
