@@ -212,8 +212,8 @@ def _cmd_classify(args, out) -> int:
         ("m", report.is_m), ("h", report.is_h), ("spd", report.is_spd),
     ):
         print(f"{name}: {_tristate(value)}", file=out)
-    if report.m_witness is not None:
-        print(f"m_witness_min: {_fmt(float(report.m_witness.min()))}", file=out)
+    if report.m.witness is not None:
+        print(f"m_witness_min: {_fmt(float(report.m.witness.min()))}", file=out)
     for note in report.notes:
         print(f"note: {note}", file=out)
     if verdict is not None:

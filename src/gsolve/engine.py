@@ -4,9 +4,9 @@ The spectral radius of an iteration matrix H = M^{-1} N has two paths:
 dense eigenvalues of an explicit H, which a step operator of order up to
 ``SMALL_ORDER`` forms, and ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users'
 Guide, SIAM 1998) above that order.  ARPACK iterates x -> M^{-1} N x,
-except on a certified regular splitting A = M - N of a nonsingular M-matrix
-(N >= 0, M and A Z-matrices, a positive witness for A), where it iterates
-x -> A^{-1} N x and maps its Perron root tau to rho(H) = tau / (1 + tau)
+except on a certified regular splitting M - N = s A of a nonsingular M-matrix
+A (s > 0, N >= 0, M a Z-matrix, a positive witness for A), where it iterates
+x -> A^{-1} N x / s and maps its Perron root tau to rho(H) = tau / (1 + tau)
 (Varga, Matrix Iterative Analysis, 2nd ed., Springer 2000, Thm 3.13): the
 map spreads a radius crowded near 1 away from the rest of the spectrum.
 ``predict`` decides the overrelaxed-GSOR theorem by one M-matrix
@@ -24,11 +24,11 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigs
 
 from .matrices import (
     ClassificationReport,
+    MCertificate,
     SquareMatrix,
     certify_m,
     classify,
     extract_splitting,
-    is_m_matrix,
     is_z_matrix,
     require_integer,
 )
@@ -193,26 +193,30 @@ class PowerEstimate:
     steps: int
 
 
-def _regular_factor(op: StepOperator) -> SuperLU | None:
-    """SuperLU factor of A = M - N when M - N is a regular splitting of a
-    nonsingular M-matrix, certified exactly; None otherwise.
+def _regular_factor(op: StepOperator, certificate: MCertificate | None = None) -> SuperLU | None:
+    """SuperLU factor of A = (M - N) / rhs_scale when M - N is a regular
+    splitting of a nonsingular M-matrix, certified exactly; None otherwise.
 
-    The splitting's conditions are checked here: N >= 0 entrywise and M a
-    Z-matrix.  A's own certificate, the Z test and a positive witness from
-    one sparse LU, is :func:`certify_m`, whose factor is returned.  A is then
-    a nonsingular M-matrix, and the Z-matrix M >= A is one too, so
-    M^{-1} >= 0 (Berman & Plemmons, Nonnegative Matrices in the Mathematical
-    Sciences, SIAM 1994, ch. 6).
+    The splitting's conditions are checked here: rhs_scale > 0, N >= 0
+    entrywise and M a Z-matrix.  A's certificate is ``certificate``, or else
+    :func:`certify_m` of (M - N) / rhs_scale.  The Z-matrix M >= M - N is
+    then a nonsingular M-matrix too, so M^{-1} >= 0 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, SIAM 1994, ch. 6).
     """
-    if np.any(op.n_part.data < 0.0) or not is_z_matrix(SquareMatrix(op.m_part)):
+    if (op.rhs_scale <= 0.0 or np.any(op.n_part.data < 0.0)
+            or not is_z_matrix(SquareMatrix(op.m_part))):
         return None
-    return certify_m(SquareMatrix(op.m_part - op.n_part))[0]
+    if certificate is None:
+        difference = op.m_part - op.n_part
+        difference.data /= op.rhs_scale
+        certificate = certify_m(SquareMatrix(difference))
+    return certificate.lu
 
 
 def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEstimate:
     """Dominant eigenpair of H by ARPACK.
 
-    With ``apply_regular`` (x -> A^{-1} N x of a certified regular
+    With ``apply_regular`` (x -> (M - N)^{-1} N x of a certified regular
     splitting) the eigen-solve runs on that operator instead, and its
     eigenvalue mu maps to H's mu / (1 + mu), with the same eigenvector.
     """
@@ -244,7 +248,8 @@ def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEst
     return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), True, steps)
 
 
-def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
+def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
+                    certificate: MCertificate | None = None):
     """Largest eigenvalue modulus of an iteration matrix.
 
     ``mode="dense"``: ``target`` is an explicit square ndarray, such as
@@ -258,14 +263,16 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
     eigenpair from the start vector drawn with ``seed``, 0 unless given, so
     every call is deterministic.
 
-    Above ``SMALL_ORDER``, a step operator whose splitting A = M - N is
-    certified regular (N >= 0, M a Z-matrix, and A = M - N certified by
-    :func:`certify_m`, whose sparse LU of A is reused) is handled through
-    A^{-1} N >= 0 instead: its Perron root tau is its largest-modulus
-    eigenvalue, and rho(H) = tau / (1 + tau) (Varga, Thm 3.13).  That covers
-    GJ and GGS at every m and SOR (GSOR at m = 0) at omega <= 1 on
-    nonsingular M-matrices.  The residual is still taken with H.  Every
-    other operator is iterated as H.
+    Above ``SMALL_ORDER``, a step operator whose splitting M - N =
+    rhs_scale * A is certified regular (rhs_scale > 0, N >= 0, M a Z-matrix,
+    A certified by :func:`certify_m`; the factor is A's) is handled through
+    A^{-1} N / rhs_scale >= 0 instead: its Perron root tau is its
+    largest-modulus eigenvalue, and rho(H) = tau / (1 + tau) (Varga, Thm
+    3.13).  That covers GJ and GGS at every m and SOR (GSOR at m = 0) at
+    omega <= 1 on nonsingular M-matrices.  ``certificate`` is ``certify_m``
+    of the A that ``target`` splits, such as ``classify(A).m``; without it A
+    is certified here.  The residual is still taken with H.  Every other
+    operator is iterated as H.
     """
     if mode == "dense":
         dense = np.asarray(target, dtype=np.float64)
@@ -282,8 +289,9 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0):
             H = iteration_matrix(op)
             bound = np.finfo(np.float64).eps * float(np.linalg.norm(H, 1))
             return PowerEstimate(spectral_radius(H), bound, True, op.n)
-        lu = _regular_factor(op)
-        apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
+        lu = _regular_factor(op, certificate)
+        apply_regular = None if lu is None else (
+            lambda v: lu.solve(op.n_part @ v) / op.rhs_scale)
         return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
                                 apply_regular)
     raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
@@ -329,13 +337,13 @@ def predict(
     omega < 2 / (1 + rho(H_GJ)), decided by one M-matrix certificate; the
     theorem's other condition, rho(band^{-1} lower) < 1 / omega, follows.
     Only here is it decided which omega a theorem covers; :func:`build_step`
-    accepts any finite nonzero omega.  ``report`` is A's :func:`classify`
-    report when the caller already has it; without one, A is classified
-    here.  The SPD verdict plays no part.
-    The radius comes from :func:`spectral_radius` in power mode, so above
-    ``SMALL_ORDER`` on a nonsingular M-matrix, GJ and GGS at every m and SOR
-    at omega <= 1 take its regular-splitting route: ARPACK on A^{-1} N, whose
-    Perron root tau gives rho = tau / (1 + tau) (Varga, Thm 3.13).
+    accepts any finite nonzero omega.  ``report`` must be ``classify(A)``,
+    whose factor of A feeds the radius; without one, A is classified here.
+    The SPD verdict plays no part.  The radius is :func:`spectral_radius`'s
+    in power mode, given ``report.m``, so above ``SMALL_ORDER`` on a
+    nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
+    its regular-splitting route on A's factor: ARPACK on A^{-1} N /
+    rhs_scale, with rho = tau / (1 + tau) (Varga, Thm 3.13).
     """
     if report is None:
         report = classify(A)
@@ -359,12 +367,13 @@ def predict(
     # (band^{-1} >= 0), and 1/omega - c = 1 - 1/omega > 0.  The margin is
     # certified before the step operator is built, so its LU is freed first.
     if (method is Method.GSOR and omega > 1.0 and report.is_m
-            and is_m_matrix(SquareMatrix(
+            and certify_m(SquareMatrix(
                 (2.0 / omega - 1.0) * splitting.band.csr - splitting.lower.csr
-                - splitting.upper.csr))[0]):
+                - splitting.upper.csr)).witness is not None):
         tags.append(TAG_OVERRELAXED_M)
 
-    estimate = spectral_radius(build_step(splitting, method, omega), mode="power")
+    estimate = spectral_radius(build_step(splitting, method, omega), mode="power",
+                               certificate=report.m)
     if estimate.reliable:
         rho, predicted = estimate.value, bool(estimate.value < 1.0)
     else:

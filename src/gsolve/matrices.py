@@ -8,6 +8,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -239,16 +240,24 @@ def _positive_pivots(lu: SuperLU | None) -> bool:
             and bool(np.all(lu.U.diagonal() > 0.0)))
 
 
-def certify_m(A: SquareMatrix) -> tuple[SuperLU | None, np.ndarray | None, str | None]:
-    """Nonsingular M-matrix certificate: (factor, witness, note).
+class MCertificate(NamedTuple):
+    """:func:`certify_m`'s (factor, witness, note)."""
+
+    lu: SuperLU | None
+    witness: np.ndarray | None
+    note: str | None
+
+
+def certify_m(A: SquareMatrix) -> MCertificate:
+    """Nonsingular M-matrix certificate of A.
 
     Factorizes A by one sparse LU without row pivoting (:func:`_unpivoted_lu`)
     and solves A x = e (all-ones) with it.  For a Z-matrix, x strictly
     positive (see :func:`positive_witness`) is equivalent to A being a
     nonsingular M-matrix, and (x, Ax = e) is then a storable witness pair;
-    the witness is scaled to unit max-norm.  A certified A returns (its
-    SuperLU factor, the witness, None), which the regular-splitting radius
-    and the SPD test reuse; any other A returns (None, None, the reason).
+    the witness is scaled to unit max-norm.  A certified A keeps its SuperLU
+    factor in the certificate, which the SPD test and the regular-splitting
+    radius reuse; any other A gets (None, None, the reason).
 
     A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
     meets only positive pivots, and on an M-matrix that elimination is
@@ -257,12 +266,12 @@ def certify_m(A: SquareMatrix) -> tuple[SuperLU | None, np.ndarray | None, str |
     the column order, so the LU keeps that order's fill.
     """
     if not is_z_matrix(A):
-        return None, None, "not a Z-matrix"
+        return MCertificate(None, None, "not a Z-matrix")
     lu = _unpivoted_lu(A)
     if lu is None:
-        return None, None, "singular"
+        return MCertificate(None, None, "singular")
     witness, note = positive_witness(A, lu.solve(np.ones(A.n)))
-    return (None if witness is None else lu), witness, note
+    return MCertificate(None if witness is None else lu, witness, note)
 
 
 def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]:
@@ -289,13 +298,13 @@ def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]
 
 def is_m_matrix(A: SquareMatrix) -> tuple[bool, np.ndarray | None]:
     """Nonsingular M-matrix test; returns (verdict, positive witness or None)."""
-    witness = certify_m(A)[1]
+    witness = certify_m(A).witness
     return witness is not None, witness
 
 
 def is_h_matrix(A: SquareMatrix) -> bool:
     """True iff the comparison matrix is a nonsingular M-matrix."""
-    return certify_m(comparison_matrix(A))[1] is not None
+    return certify_m(comparison_matrix(A)).witness is not None
 
 
 def is_spd(A: SquareMatrix) -> bool:
@@ -313,64 +322,62 @@ def is_spd(A: SquareMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Class memberships with certification witnesses.
+    """Class memberships with their certificates.
 
-    ``is_spd`` is ``None`` (undetermined) when the order exceeds
-    ``DEFAULT_DENSE_LIMIT``; the scan- and solve-based predicates are always
-    decided.
+    ``m`` and ``h`` are the :func:`certify_m` certificates of A and of its
+    comparison matrix, one object when A is a Z-matrix with nonnegative
+    diagonal.  ``is_spd`` is ``None`` (undetermined) above order
+    ``DEFAULT_DENSE_LIMIT``; the other predicates are always decided.
     """
 
     is_sdd: bool
     is_z: bool
     is_l: bool
-    is_m: bool
-    is_h: bool
     is_spd: bool | None
-    m_witness: np.ndarray | None
+    m: MCertificate
+    h: MCertificate
     notes: tuple[str, ...]
+
+    @property
+    def is_m(self) -> bool:
+        return self.m.witness is not None
+
+    @property
+    def is_h(self) -> bool:
+        return self.h.witness is not None
 
 
 def classify(A: SquareMatrix) -> ClassificationReport:
-    """Run every class predicate and collect witnesses and notes.
+    """Run every class predicate and collect certificates and notes.
 
     The SPD test runs up to order ``DEFAULT_DENSE_LIMIT`` and reads the
     pivots of ``certify_m``'s factor of A when there is one.
     """
-    notes: list[str] = []
-    sdd = is_sdd(A)
+    m = certify_m(A)
     z = is_z_matrix(A)
-    l_ok = is_l_matrix(A)
-    # the factor is dropped after the SPD test: the report keeps the witness
-    lu, m_witness, m_note = certify_m(A)
-    m_ok = m_witness is not None
-    if m_note:
-        notes.append(f"m: {m_note}")
     # a Z-matrix with nonnegative diagonal is its own comparison matrix
-    h_ok, h_note = m_ok, m_note
-    if not (z and np.all(A.csr.diagonal() >= 0.0)):
-        h_witness, h_note = certify_m(comparison_matrix(A))[1:]
-        h_ok = h_witness is not None
-    if h_note:
-        notes.append(f"h (comparison matrix): {h_note}")
+    h = m if z and np.all(A.csr.diagonal() >= 0.0) else certify_m(comparison_matrix(A))
+    notes = [f"{name}: {c.note}" for name, c in (("m", m), ("h (comparison matrix)", h))
+             if c.note]
 
     spd: bool | None = None
     if A.n <= DEFAULT_DENSE_LIMIT:
-        spd = A.is_symmetric() and _positive_pivots(lu if lu is not None else _unpivoted_lu(A))
+        spd = A.is_symmetric() and _positive_pivots(m.lu or _unpivoted_lu(A))
     else:
         notes.append(
             f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
         )
 
-    if sdd and not h_ok:
+    sdd = is_sdd(A)
+    if sdd and h.witness is None:
         notes.append("cross-check violated: SDD matrix failed H certification")
 
     return ClassificationReport(
         is_sdd=sdd,
         is_z=z,
-        is_l=l_ok,
-        is_m=m_ok,
-        is_h=h_ok,
+        is_l=is_l_matrix(A),
         is_spd=spd,
-        m_witness=m_witness,
+        m=m,
+        h=h,
         notes=tuple(notes),
     )

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import SuperLU
 
+import gsolve.engine
 import gsolve.matrices
-from gsolve import build_step, extract_splitting
+from gsolve import IterationConfig, build_step, extract_splitting
 from gsolve.pde import LAYOUT_BENCH, assemble
 from gsolve.solvers import PermutedLU, TridiagonalLDLT
 
@@ -61,3 +62,15 @@ def test_step_operators_expose_what_the_tracer_reads(spans, method, m, omega, fa
     assert op.n == op.n_part.shape[0] == A.n
     assert op.solve_m(np.ones(op.n)).shape == (op.n,)
     assert int(op.lu.L.nnz + op.lu.U.nnz) >= A.n
+
+
+@pytest.mark.parametrize("method", ["gj", "ggs"])
+def test_tracer_sees_the_radius_predict_takes(spans, method):
+    A = assemble(15, "zero", layout=LAYOUT_BENCH).A  # order 210: the ARPACK path
+    tracer = spans.Tracer()
+    modules = {name: importlib.import_module(name) for name in spans.WRAPPED}
+    with spans.patched(modules, tracer.wrap):
+        gsolve.engine.predict(A, IterationConfig(method, 1))
+    power = [s for s in tracer.spans if s.name == "engine.spectral_radius_power"]
+    assert len(power) == 1
+    assert power[0].attrs["steps"] > 0

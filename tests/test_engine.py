@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
@@ -27,6 +28,7 @@ from gsolve import (
     solve,
     spectral_radius,
 )
+from gsolve.cli import main
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m, positive_witness
@@ -76,10 +78,10 @@ def _operator_of(H):
 
 def _arpack_radius(op, seed):
     """The ARPACK answer for a step operator at any order, as spectral_radius gives
-    it above SMALL_ORDER: on A^{-1} N for a certified regular splitting, else on H."""
-    lu = _regular_factor(op)
-    apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
-    return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed, apply_regular)
+    it above SMALL_ORDER: on A^{-1} N / rhs_scale for a certified regular splitting,
+    else on H."""
+    with mock.patch.object(gsolve.engine, "SMALL_ORDER", 0):
+        return spectral_radius(op, mode="power", seed=seed)
 
 
 def _no_convergence(*args, **kwargs):
@@ -449,32 +451,99 @@ class TestRegularSplittingRoute:
         assert (_regular_factor(op) is not None) == regular
 
     @staticmethod
+    def _assert_certificate_changes_no_answer(A, method, m, omega, seed):
+        op = build_step(extract_splitting(A, m), method, omega)
+        assert _regular_factor(op) is not None
+        handed = spectral_radius(op, mode="power", seed=seed, certificate=certify_m(A))
+        own = spectral_radius(op, mode="power", seed=seed)
+        if omega is None:
+            np.testing.assert_equal(dataclasses.astuple(handed), dataclasses.astuple(own))
+        else:  # the route certifies (M - N) / omega, A to rounding
+            assert handed.reliable and own.reliable
+            assert handed.value == pytest.approx(own.value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("g, n", [("zero", 15), ("negexp4xy", 20), ("xplusy", 30)])
+    @pytest.mark.parametrize("method, m, omega", [
+        ("gj", 1, None), ("ggs", 2, None), ("gsor", 0, 0.9), ("gsor", 0, 1.0)])
+    def test_handed_certificate_on_bench(self, g, n, method, m, omega):
+        A = assemble(n, g, layout=LAYOUT_BENCH).A
+        assert A.n > SMALL_ORDER
+        self._assert_certificate_changes_no_answer(A, method, m, omega, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.sampled_from(["gj", "ggs", "sor"]),
+           st.floats(0.05, 1.0), st.data())
+    def test_handed_certificate_on_m_matrices(self, n, seed, method, omega, data):
+        A = random_m_matrix(n, np.random.default_rng(seed))
+        if method == "sor":
+            method, m = "gsor", 0
+        else:
+            m, omega = data.draw(st.integers(0, n - 2), label="m"), None
+        with mock.patch.object(gsolve.engine, "SMALL_ORDER", 0):
+            self._assert_certificate_changes_no_answer(A, method, m, omega, seed)
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--pde", "g=zero", "n=40", "--predict", "gj", "--m", "1"),
+        ("classify", "--pde", "g=zero", "n=40", "--predict", "ggs", "--m", "1"),
+        ("classify", "--pde", "g=zero", "n=40", "--predict", "sor", "--omega", "0.9"),
+        ("rho", "--pde", "g=zero", "n=100", "--method", "gj", "--power"),
+        None,  # predict without a report
+    ])
+    def test_a_is_factorized_once(self, capsys, argv):
+        with mock.patch.object(gsolve.matrices, "splu", wraps=splu) as a_spy, \
+                mock.patch.object(gsolve.solvers, "splu", wraps=splu) as m_spy:
+            if argv is None:
+                A = assemble(40, "zero", layout=LAYOUT_BENCH).A
+                assert predict(A, IterationConfig("gj", 1)).rho_estimate is not None
+            else:
+                assert main(list(argv)) == 0
+        specs = [c.kwargs["permc_spec"] for c in a_spy.call_args_list + m_spy.call_args_list]
+        assert specs.count("MMD_AT_PLUS_A") == 1
+
+    @staticmethod
     def _refusals(spd3):
+        """(name, step operator, certificate handed to the radius or None)."""
         # Below omega_opt, where ARPACK's answer does not depend on its history.
         bench = assemble(20, "zero", layout=LAYOUT_BENCH).A
-        yield "gsor omega=1.5", build_step(extract_splitting(bench, 1), "gsor", 1.5)
-        yield "spd3", build_step(extract_splitting(spd3, 1), "gj")
+        overrelaxed = build_step(extract_splitting(bench, 1), "gsor", 1.5)
+        yield "gsor omega=1.5", overrelaxed, None
+        # A is certified, but N = (1 - omega) band + omega upper has a negative diagonal
+        yield "negative N, certified A", overrelaxed, certify_m(bench)
+        yield "spd3", build_step(extract_splitting(spd3, 1), "gj"), None
         dense = assemble(6, "zero", layout=LAYOUT_BENCH).A.to_dense()
         dense[0, 7] = 0.5  # above the band of m = 1: N = upper gets one negative entry
         yield "negative N", build_step(extract_splitting(SquareMatrix.from_dense(dense), 1),
-                                       "ggs")
+                                       "ggs"), None
         laplacian = _zero_row_sum_laplacian(40)
-        yield "singular", build_step(extract_splitting(laplacian, 0), "ggs")
+        yield "singular", build_step(extract_splitting(laplacian, 0), "ggs"), None
+        # GGS splits bench - 0.1 I with N >= 0 and a Z-matrix M, but lambda_min(bench)
+        # is 0.047, so this Z-matrix is no M-matrix and its certificate has no factor
+        shifted = SquareMatrix(bench.csr - 0.1 * sp.eye_array(bench.n))
+        yield ("uncertified certificate", build_step(extract_splitting(shifted, 1), "ggs"),
+               certify_m(shifted))
+        # M = I and N = 1.5 I pass both splitting checks and A = I is certified, but
+        # M - N = -0.5 I: only rhs_scale = omega > 0 refuses
+        identity = SquareMatrix.identity(40)
+        yield ("gsor omega<0", build_step(extract_splitting(identity, 0), "gsor", -0.5),
+               certify_m(identity))
 
     def test_refusals_return_the_h_route_answer(self, spd3):
-        refusals = dict(self._refusals(spd3))
-        assert refusals["negative N"].n_part.data.min() < 0
-        assert refusals["gsor omega=1.5"].n > SMALL_ORDER
-        for name, op in refusals.items():
-            assert _regular_factor(op) is None, name
+        refusals = {name: (op, cert) for name, op, cert in self._refusals(spd3)}
+        assert refusals["negative N"][0].n_part.data.min() < 0
+        assert refusals["gsor omega=1.5"][0].n > SMALL_ORDER
+        assert refusals["negative N, certified A"][1].lu is not None
+        assert refusals["uncertified certificate"][1].lu is None
+        assert refusals["gsor omega<0"][1].lu is not None
+        for name, (op, certificate) in refusals.items():
+            assert _regular_factor(op, certificate) is None, name
             if op.n > SMALL_ORDER:
-                got = spectral_radius(op, mode="power", seed=5)
+                got = spectral_radius(op, mode="power", seed=5, certificate=certificate)
                 as_h = _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, 5)
                 np.testing.assert_equal(dataclasses.astuple(got),
                                         dataclasses.astuple(as_h), err_msg=name)
-        assert spectral_radius(refusals["spd3"], mode="power").value == pytest.approx(
+        assert spectral_radius(refusals["spd3"][0], mode="power").value == pytest.approx(
             1.5883, abs=5e-5)
-        assert spectral_radius(refusals["singular"], mode="power", seed=0).value == (
+        assert spectral_radius(refusals["singular"][0], mode="power", seed=0).value == (
             pytest.approx(1.0, abs=1e-8))
 
 

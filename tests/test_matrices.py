@@ -428,7 +428,7 @@ class TestClassify:
         A = assemble(40, "zero", layout=LAYOUT_BENCH).A
         lu, witness, note = certify_m(A)
         assert lu is not None and note is None
-        np.testing.assert_array_equal(classify(A).m_witness, witness)
+        np.testing.assert_array_equal(classify(A).m.witness, witness)
 
     def test_certificate_returns_a_factor_only_when_certified(self, lmat3, spd3):
         singular = SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
@@ -451,7 +451,7 @@ class TestClassify:
             report = classify(A)
             if report.is_m:
                 assert report.is_z
-                w = report.m_witness
+                w = report.m.witness
                 assert w is not None and np.all(w > 0) and np.all(A.csr @ w > 0)
             if report.is_sdd:
                 assert report.is_h
