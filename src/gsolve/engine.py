@@ -4,9 +4,9 @@ The spectral radius of an iteration matrix H = M^{-1} N has two paths:
 dense eigenvalues of an explicit H, which a step operator of order up to
 ``SMALL_ORDER`` forms, and ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users'
 Guide, SIAM 1998) above that order.  ARPACK iterates x -> M^{-1} N x,
-except on a certified regular splitting M - N = s A of a nonsingular M-matrix
-A (s > 0, N >= 0, M a Z-matrix, a positive witness for A), where it iterates
-x -> A^{-1} N x / s and maps its Perron root tau to rho(H) = tau / (1 + tau)
+except on a certified regular splitting M - N = A of a nonsingular M-matrix
+A (N >= 0, M a Z-matrix, a positive witness for A), where it iterates
+x -> A^{-1} N x and maps its Perron root tau to rho(H) = tau / (1 + tau)
 (Varga, Matrix Iterative Analysis, 2nd ed., Springer 2000, Thm 3.13): the
 map spreads a radius crowded near 1 away from the rest of the spectrum.
 ``predict`` decides the overrelaxed-GSOR theorem by one M-matrix
@@ -130,9 +130,8 @@ def solve(
     iterations = 0
 
     start = time.perf_counter()
-    c = op.rhs_scale * b
     for k in range(1, config.max_iter + 1):
-        x_next = op.step(x, c)
+        x_next = op.step(x, b)
         d = x_next - x
         # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
         diff = math.sqrt(d @ d)
@@ -194,22 +193,19 @@ class PowerEstimate:
 
 
 def _regular_factor(op: StepOperator, certificate: MCertificate | None = None) -> SuperLU | None:
-    """SuperLU factor of A = (M - N) / rhs_scale when M - N is a regular
-    splitting of a nonsingular M-matrix, certified exactly; None otherwise.
+    """SuperLU factor of A = M - N when M - N is a regular splitting of a
+    nonsingular M-matrix, certified exactly; None otherwise.
 
-    The splitting's conditions are checked here: rhs_scale > 0, N >= 0
-    entrywise and M a Z-matrix.  A's certificate is ``certificate``, or else
-    :func:`certify_m` of (M - N) / rhs_scale.  The Z-matrix M >= M - N is
-    then a nonsingular M-matrix too, so M^{-1} >= 0 (Berman & Plemmons,
-    Nonnegative Matrices in the Mathematical Sciences, SIAM 1994, ch. 6).
+    The splitting's conditions are checked here: N >= 0 entrywise and M a
+    Z-matrix.  A's certificate is ``certificate``, or else :func:`certify_m`
+    of M - N.  The Z-matrix M >= M - N is then a nonsingular M-matrix too,
+    so M^{-1} >= 0 (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, SIAM 1994, ch. 6).
     """
-    if (op.rhs_scale <= 0.0 or np.any(op.n_part.data < 0.0)
-            or not is_z_matrix(SquareMatrix(op.m_part))):
+    if np.any(op.n_part.data < 0.0) or not is_z_matrix(SquareMatrix(op.m_part)):
         return None
     if certificate is None:
-        difference = op.m_part - op.n_part
-        difference.data /= op.rhs_scale
-        certificate = certify_m(SquareMatrix(difference))
+        certificate = certify_m(SquareMatrix(op.m_part - op.n_part))
     return certificate.lu
 
 
@@ -263,16 +259,15 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     eigenpair from the start vector drawn with ``seed``, 0 unless given, so
     every call is deterministic.
 
-    Above ``SMALL_ORDER``, a step operator whose splitting M - N =
-    rhs_scale * A is certified regular (rhs_scale > 0, N >= 0, M a Z-matrix,
-    A certified by :func:`certify_m`; the factor is A's) is handled through
-    A^{-1} N / rhs_scale >= 0 instead: its Perron root tau is its
-    largest-modulus eigenvalue, and rho(H) = tau / (1 + tau) (Varga, Thm
-    3.13).  That covers GJ and GGS at every m and SOR (GSOR at m = 0) at
-    omega <= 1 on nonsingular M-matrices.  ``certificate`` is ``certify_m``
-    of the A that ``target`` splits, such as ``classify(A).m``; without it A
-    is certified here.  The residual is still taken with H.  Every other
-    operator is iterated as H.
+    Above ``SMALL_ORDER``, a step operator whose splitting M - N = A is
+    certified regular (N >= 0, M a Z-matrix, A certified by
+    :func:`certify_m`; the factor is A's) is handled through A^{-1} N >= 0
+    instead: its Perron root tau is its largest-modulus eigenvalue, and
+    rho(H) = tau / (1 + tau) (Varga, Thm 3.13).  That covers GJ and GGS at
+    every m and SOR (GSOR at m = 0) at omega <= 1 on nonsingular M-matrices.
+    ``certificate`` is ``certify_m`` of the A that ``target`` splits, such
+    as ``classify(A).m``; without it A is certified here.  The residual is
+    still taken with H.  Every other operator is iterated as H.
     """
     if mode == "dense":
         dense = np.asarray(target, dtype=np.float64)
@@ -290,8 +285,7 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
             bound = np.finfo(np.float64).eps * float(np.linalg.norm(H, 1))
             return PowerEstimate(spectral_radius(H), bound, True, op.n)
         lu = _regular_factor(op, certificate)
-        apply_regular = None if lu is None else (
-            lambda v: lu.solve(op.n_part @ v) / op.rhs_scale)
+        apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
         return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
                                 apply_regular)
     raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
@@ -342,8 +336,8 @@ def predict(
     The SPD verdict plays no part.  The radius is :func:`spectral_radius`'s
     in power mode, given ``report.m``, so above ``SMALL_ORDER`` on a
     nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
-    its regular-splitting route on A's factor: ARPACK on A^{-1} N /
-    rhs_scale, with rho = tau / (1 + tau) (Varga, Thm 3.13).
+    its regular-splitting route on A's factor: ARPACK on A^{-1} N, with
+    rho = tau / (1 + tau) (Varga, Thm 3.13).
     """
     if report is None:
         report = classify(A)

@@ -21,11 +21,6 @@ from scipy.sparse.linalg import SuperLU, splu
 #: verdicts at order 22 350 (``perfbench/workloads.py``) pin that output.
 DEFAULT_DENSE_LIMIT = 2000
 
-#: Smallest admissible component of an M-matrix witness after scaling the
-#: witness to unit max-norm.  Direct solves carry roundoff, so demanding
-#: plain positivity would be too brittle.
-WITNESS_TOL = 1e-12
-
 #: SuperLU panel width (columns factorized together) for every sparse LU in
 #: the package.  Our A and M hold 3-5 entries per column, too few for the
 #: default panel of 10 to pay.  One column gives the same fill and
@@ -277,10 +272,12 @@ def certify_m(A: SquareMatrix) -> MCertificate:
 def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]:
     """Check a computed solution x of A x = e as an M-matrix witness.
 
-    For a Z-matrix A, a finite x that is strictly positive after scaling to
-    unit max-norm (every component above ``WITNESS_TOL``) and whose image
-    A x is strictly positive certifies A as a nonsingular M-matrix.  Returns
-    (scaled witness, None) or (None, the reason it fails).
+    Accepts w = x / max|x| when w > 0 and fl(A w) > 2 gamma_k fl(|A| w),
+    with gamma_k = k u / (1 - k u), u = 2^-53 and k the longest row's entry
+    count: then A w > 0 exactly (Higham, 2nd ed., ch. 3), which certifies a
+    Z-matrix as a nonsingular M-matrix (Berman & Plemmons, ch. 6), whatever
+    the units of an unknown.  A row scaled 1e14 or more times the others is
+    refused.  Returns (w, None) or (None, the reason it fails).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(x)):
@@ -289,9 +286,12 @@ def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]
     if scale == 0.0:
         return None, "singular"
     witness = x / scale
-    if np.min(witness) <= WITNESS_TOL:
+    if np.min(witness) <= 0.0:
         return None, "witness has nonpositive components"
-    if not np.all(A.csr @ witness > 0.0):
+    csr = A.csr
+    ku = np.diff(csr.indptr).max() * 2.0**-53
+    magnitude = sp.csr_array((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+    if not np.all(csr @ witness > 2.0 * ku / (1.0 - ku) * (magnitude @ witness)):
         return None, "witness image not strictly positive"
     return witness, None
 
@@ -326,8 +326,9 @@ class ClassificationReport:
 
     ``m`` and ``h`` are the :func:`certify_m` certificates of A and of its
     comparison matrix, one object when A is a Z-matrix with nonnegative
-    diagonal.  ``is_spd`` is ``None`` (undetermined) above order
-    ``DEFAULT_DENSE_LIMIT``; the other predicates are always decided.
+    diagonal; a separate ``h`` keeps no factor.  ``is_spd`` is ``None``
+    (undetermined) above order ``DEFAULT_DENSE_LIMIT``; the other predicates
+    are always decided.
     """
 
     is_sdd: bool
@@ -356,7 +357,8 @@ def classify(A: SquareMatrix) -> ClassificationReport:
     m = certify_m(A)
     z = is_z_matrix(A)
     # a Z-matrix with nonnegative diagonal is its own comparison matrix
-    h = m if z and np.all(A.csr.diagonal() >= 0.0) else certify_m(comparison_matrix(A))
+    h = (m if z and np.all(A.csr.diagonal() >= 0.0)
+         else certify_m(comparison_matrix(A))._replace(lu=None))
     notes = [f"{name}: {c.note}" for name, c in (("m", m), ("h (comparison matrix)", h))
              if c.note]
 

@@ -2,15 +2,15 @@
 
 The three methods share the splitting A = band - lower - upper (see
 :class:`~gsolve.matrices.BandedSplitting` for the sign convention) and
-differ only in how the parts are assigned to the M/N pair:
+differ only in how the parts are assigned to the M/N pair, M - N = A:
 
 * GJ:   M = band,                N = lower + upper
 * GGS:  M = band - lower,        N = upper
-* GSOR: M = band - omega*lower,  N = (1-omega)*band + omega*upper,
-        a splitting of omega*A; the right-hand side is scaled by omega.
+* GSOR: M = band/omega - lower,  N = (1/omega - 1)*band + upper, the paper's
+        band - omega*lower and (1-omega)*band + omega*upper over omega.
 
 Each operator factorizes its M part once and then applies the update
-x -> M^{-1}(N x + c b) any number of times.  An SPD tridiagonal M (GJ at
+x -> M^{-1}(N x + b) any number of times.  An SPD tridiagonal M (GJ at
 m <= 1 on a symmetric M-matrix, say) gets an LDL^T factor without
 pivoting, LAPACK pttrf/pttrs, which is backward stable on such matrices
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
@@ -182,16 +182,15 @@ class StepOperator:
     n: int
     m_part: sp.csr_array
     n_part: sp.csr_array
-    rhs_scale: float
     lu: TridiagonalLDLT | PermutedLU | SuperLU
 
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
         return self.lu.solve(v)
 
-    def step(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """One update M^{-1}(N x + c), with c = rhs_scale * b; shapes unchecked."""
-        return self.lu.solve(self.n_part @ x + c)
+    def step(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One update M^{-1}(N x + b); shapes unchecked."""
+        return self.lu.solve(self.n_part @ x + b)
 
 
 def build_step(
@@ -210,32 +209,33 @@ def build_step(
     block of the band (:meth:`~gsolve.matrices.BandedSplitting.blocks`), and
     factorized as a :class:`PermutedLU`.  No band entry crosses a block, so
     where every outside-band entry joins two blocks, as on the PDE grids
-    where the blocks are the grid lines, M = band - omega*lower is block
+    where the blocks are the grid lines, M = band/omega - lower is block
     lower triangular.  Natural elimination then fills each coupling block of
     L with the dense triangle U_k^{-1} of the previous block, b^2/2 entries
     for a block of order b; dissection leaves O(b log b) of them.  Both
     SuperLU routes factorize one column at a time (``SPLU_PANEL_SIZE``).  A
     singular M raises :class:`FactorizationError`.
 
-    GSOR requires a finite omega != 0 and accepts any such omega, by the
-    check :class:`~gsolve.engine.IterationConfig` makes (:func:`relaxation_factor`).
-    Which omega a convergence theorem covers on which matrix class is decided
-    by :func:`~gsolve.engine.predict` (its ``guarantee_source``).
+    GSOR requires a finite omega != 0, by the check
+    :class:`~gsolve.engine.IterationConfig` makes (:func:`relaxation_factor`),
+    and raises ValueError where band/omega overflows.  Which omega a
+    convergence theorem covers on which matrix class is decided by
+    :func:`~gsolve.engine.predict` (its ``guarantee_source``).
     """
     method = Method.parse(method)
     omega = relaxation_factor(method, omega)
     band, lower, upper = splitting.band.csr, splitting.lower.csr, splitting.upper.csr
 
     if method is Method.GSOR:
-        m_part = sp.csr_array(band - omega * lower)
-        n_part = sp.csr_array((1.0 - omega) * band + omega * upper)
-        rhs_scale = omega
-    else:
-        if method is Method.GJ:
-            m_part, n_part = band, sp.csr_array(lower + upper)
-        else:  # GGS
-            m_part, n_part = sp.csr_array(band - lower), upper
-        rhs_scale = 1.0
+        with np.errstate(over="ignore"):  # reported below
+            m_part = sp.csr_array(band / omega - lower)
+            n_part = sp.csr_array((1.0 / omega - 1.0) * band + upper)
+        if not (np.isfinite(m_part.data).all() and np.isfinite(n_part.data).all()):
+            raise ValueError(f"omega={omega} is too small for gsor: band/omega overflows")
+    elif method is Method.GJ:
+        m_part, n_part = band, sp.csr_array(lower + upper)
+    else:  # GGS
+        m_part, n_part = sp.csr_array(band - lower), upper
 
     lu = _spd_tridiagonal_factor(m_part)
     if lu is None:
@@ -252,13 +252,7 @@ def build_step(
                 f"M part is singular for method={method.value}, m={splitting.m}: {err}"
             ) from err
 
-    return StepOperator(
-        n=splitting.n,
-        m_part=m_part,
-        n_part=n_part,
-        rhs_scale=rhs_scale,
-        lu=lu,
-    )
+    return StepOperator(n=splitting.n, m_part=m_part, n_part=n_part, lu=lu)
 
 
 def iteration_matrix(op: StepOperator) -> np.ndarray:

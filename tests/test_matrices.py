@@ -279,9 +279,20 @@ class TestPredicates:
         np.testing.assert_array_equal(witness, [1.0, 1.0])
         assert note is None
         for x, reason in (([np.inf, 1.0], "singular"), ([0.0, 0.0], "singular"),
-                          ([1.0, 1e-13], "witness has nonpositive components"),
+                          ([1.0, 0.0], "witness has nonpositive components"),
+                          ([1.0, 1e-13], "witness image not strictly positive"),
                           ([1.0, 0.4], "witness image not strictly positive")):
             assert positive_witness(A, x) == (None, reason)
+
+    def test_certificate_does_not_depend_on_the_units_of_an_unknown(self):
+        A = assemble(20, "zero", layout=LAYOUT_BENCH).A
+        scale = np.ones(A.n)
+        scale[0] = 1e13
+        for B in (SquareMatrix(A.csr @ sp.diags_array(scale)),
+                  SquareMatrix.from_dense(np.diag([1.0, 1e13]))):
+            report = classify(B)
+            assert report.is_m and report.is_h
+            assert report.notes == ()
 
     def test_poisson_reaction_system_is_m(self):
         problem = assemble(5, "zero")
@@ -423,6 +434,18 @@ class TestClassify:
         assert ok and np.all(w > 0) and np.all(A.csr @ w > 0)
         ref = spsolve(sp.csc_array(A.csr), np.ones(A.n), permc_spec="COLAMD")
         np.testing.assert_allclose(w, ref / np.abs(ref).max(), rtol=0, atol=1e-10)
+
+    def test_only_the_m_certificate_keeps_a_factor(self):
+        for g in sorted(G_BUILTINS):
+            report = classify(assemble(20, g, layout=LAYOUT_BENCH).A)
+            assert report.h is report.m and report.m.lu is not None
+        coo = assemble(20, "zero", layout=LAYOUT_BENCH).A.csr.tocoo()
+        flipped = SquareMatrix(sp.coo_array(
+            (np.where(coo.row == coo.col, coo.data, -coo.data), (coo.row, coo.col)),
+            shape=coo.shape))
+        report = classify(flipped)
+        assert report.is_h and not report.is_m
+        assert report.h.lu is None
 
     def test_report_keeps_the_certificate_witness(self):
         A = assemble(40, "zero", layout=LAYOUT_BENCH).A

@@ -17,7 +17,7 @@ from gsolve import (
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m
-from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, assemble
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUTS, assemble
 from gsolve.solvers import PermutedLU, TridiagonalLDLT, _dissection_order
 
 
@@ -76,6 +76,12 @@ class TestBuildStep:
         with pytest.raises(ValueError, match="finite"):
             build_step(s, "gsor", omega)
 
+    @pytest.mark.parametrize("omega", [1e-320, -1e-320, 1e-307])
+    def test_gsor_omega_whose_band_quotient_overflows_rejected(self, omega):
+        s = extract_splitting(SquareMatrix.from_dense(np.eye(3) * 40.0 - 1.0), 1)
+        with pytest.raises(ValueError, match="band/omega overflows"):
+            build_step(s, "gsor", omega)
+
     def test_singular_m_part_reports_method_and_bandwidth(self):
         A = SquareMatrix.from_dense([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(FactorizationError, match=r"method=gj, m=0"):
@@ -93,12 +99,12 @@ class TestBuildStep:
             # M - N recovers A exactly for GJ/GGS
             assert SquareMatrix(gj.m_part - gj.n_part).same_entries(A)
             assert SquareMatrix(ggs.m_part - ggs.n_part).same_entries(A)
-            # and omega * A for GSOR, at assembly precision
+            # and for GSOR at assembly precision
             omega = rng.uniform(0.1, 1.0)
             gsor = build_step(s, "gsor", omega)
             np.testing.assert_allclose(
                 (gsor.m_part - gsor.n_part).toarray(),
-                omega * A.to_dense(),
+                A.to_dense(),
                 rtol=1e-14,
                 atol=1e-13,
             )
@@ -109,13 +115,13 @@ class TestApplyStep:
         A = SquareMatrix.identity(4)
         op = build_step(extract_splitting(A, 0), "gj")
         b = np.ones(4)
-        np.testing.assert_array_equal(op.step(np.zeros(4), op.rhs_scale * b), b)
+        np.testing.assert_array_equal(op.step(np.zeros(4), b), b)
 
     def test_first_iterate_matches_direct_band_solve(self, spd3):
         # b chosen so the fixed point is the ones vector
         b = spd3.to_dense() @ np.ones(3)
         op = build_step(extract_splitting(spd3, 1), "gj")
-        got = op.step(np.zeros(3), op.rhs_scale * b)
+        got = op.step(np.zeros(3), b)
         oracle = np.linalg.solve(extract_splitting(spd3, 1).band.to_dense(), b)
         np.testing.assert_allclose(got, oracle, rtol=1e-13)
 
@@ -123,7 +129,7 @@ class TestApplyStep:
         op = build_step(extract_splitting(lmat3, 1), "ggs")
         x = np.array([1.0, 2.0, 3.0])
         before = x.copy()
-        op.step(x, op.rhs_scale * np.ones(3))
+        op.step(x, np.ones(3))
         np.testing.assert_array_equal(x, before)
 
     def test_gsor_omega_one_equals_ggs_application(self, lmat3):
@@ -133,7 +139,7 @@ class TestApplyStep:
         gsor = build_step(s, "gsor", 1.0)
         for _ in range(5):
             x, b = rng.normal(size=3), rng.normal(size=3)
-            a, c = ggs.step(x, ggs.rhs_scale * b), gsor.step(x, gsor.rhs_scale * b)
+            a, c = ggs.step(x, b), gsor.step(x, b)
             np.testing.assert_allclose(a, c, rtol=1e-14)
 
     def test_fixed_point_property(self):
@@ -146,8 +152,52 @@ class TestApplyStep:
             s = extract_splitting(problem.A, 1)
             for method, omega in (("gj", None), ("ggs", None), ("gsor", 0.8)):
                 op = build_step(s, method, omega)
-                drift = np.linalg.norm(op.step(x_star, op.rhs_scale * b) - x_star)
+                drift = np.linalg.norm(op.step(x_star, b) - x_star)
                 assert drift <= 1e-10 * np.linalg.norm(x_star)
+
+
+def random_tridiagonal_m_matrix(rng, n):
+    """Random symmetric, strictly diagonally dominant tridiagonal M-matrix."""
+    e = -rng.uniform(0.0, 1.0, size=n - 1)
+    margin = np.abs(np.concatenate([e, [0.0]])) + np.abs(np.concatenate([[0.0], e]))
+    return np.diag(margin + rng.uniform(0.01, 2.0, size=n)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("sdd", "m", "h", "tridiagonal", *LAYOUTS)),
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 1.95),
+    st.data(),
+)
+def test_gsor_step_is_the_papers_iteration(source, n, seed, omega, data):
+    """op.step(x, b) solves the paper's (band - omega lower) x+ =
+    ((1 - omega) band + omega upper) x + omega b, on every factor route."""
+    rng = np.random.default_rng(seed)
+    if source in LAYOUTS:
+        A, m = assemble(n + 2, sorted(G_BUILTINS)[seed % 4], layout=source).A, seed % 3
+    elif source == "tridiagonal":
+        A, m = SquareMatrix.from_dense(random_tridiagonal_m_matrix(rng, n)), 1
+    else:
+        generator = {"sdd": random_sdd_matrix, "m": random_m_matrix, "h": random_h_matrix}
+        A = generator[source](n, rng)
+        m = data.draw(st.integers(0, n - 1), label="m")
+    s = extract_splitting(A, m)
+    band, lower, upper = s.band.to_dense(), s.lower.to_dense(), s.upper.to_dense()
+    paper_m = band - omega * lower
+    cond = np.linalg.cond(paper_m)
+    assume(cond < 1e3)
+    op = build_step(s, "gsor", omega)
+    if source == "tridiagonal":
+        assert isinstance(op.lu, TridiagonalLDLT)
+    else:
+        assert isinstance(op.lu, PermutedLU) == (m > 0 and s.lower.nnz > 0)
+    np.testing.assert_allclose((op.m_part - op.n_part).toarray(), A.to_dense(),
+                               rtol=1e-14, atol=0)
+    x, b = rng.standard_normal(A.n), rng.standard_normal(A.n)
+    want = np.linalg.solve(paper_m, ((1.0 - omega) * band + omega * upper) @ x + omega * b)
+    assert np.linalg.norm(op.step(x, b) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestIterationMatrix:
@@ -168,7 +218,7 @@ class TestIterationMatrix:
         op = build_step(s, "gj")
         assert np.max(np.abs(iteration_matrix(op))) == 0.0
         b = spd3.to_dense() @ np.ones(3)
-        np.testing.assert_allclose(op.step(np.zeros(3), op.rhs_scale * b), np.ones(3),
+        np.testing.assert_allclose(op.step(np.zeros(3), b), np.ones(3),
                                    rtol=1e-12)
 
     def test_dense_limit_enforced(self):
@@ -226,12 +276,12 @@ def test_concurrent_apply_is_safe(method, m, omega, symmetric, factor):
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
     op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), method, omega)
     assert isinstance(op.lu, factor)
-    c = op.rhs_scale * rng.normal(size=40)
+    b = rng.normal(size=40)
     starts = [rng.normal(size=40) for _ in range(32)]
     copies = [x.copy() for x in starts]
-    sequential = [op.step(x, c) for x in starts]
+    sequential = [op.step(x, b) for x in starts]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda x: op.step(x, c), starts))
+        threaded = list(pool.map(lambda x: op.step(x, b), starts))
         solved = list(pool.map(op.solve_m, starts))
     for got, want in zip(threaded, sequential):
         np.testing.assert_array_equal(got, want)
@@ -391,7 +441,7 @@ class TestOrdering:
             reference = natural_lu(op)
             x = np.zeros(A.n)
             for k in range(1, config.max_iter + 1):
-                x_next = reference.solve(op.n_part @ x + op.rhs_scale * b)
+                x_next = reference.solve(op.n_part @ x + b)
                 diff = np.linalg.norm(x_next - x)
                 x = x_next
                 if diff <= config.tol:
@@ -414,8 +464,8 @@ class TestOrdering:
         A = generator(n, rng)
         m = data.draw(st.integers(0, n - 1), label="m")
         s = extract_splitting(A, m)
-        lower_scale = {"gj": 0.0, "ggs": 1.0, "gsor": omega}[method]
-        dense_m = s.band.to_dense() - lower_scale * s.lower.to_dense()
+        band, lower = s.band.to_dense(), s.lower.to_dense()
+        dense_m = {"gj": band, "ggs": band - lower, "gsor": band / omega - lower}[method]
         cond = np.linalg.cond(dense_m)
         assume(cond < 1e10)
         op = build_at(A, method, m, omega if method == "gsor" else None)
