@@ -331,13 +331,13 @@ def predict(
     omega < 2 / (1 + rho(H_GJ)), decided by one M-matrix certificate; the
     theorem's other condition, rho(band^{-1} lower) < 1 / omega, follows.
     Only here is it decided which omega a theorem covers; :func:`build_step`
-    accepts any finite nonzero omega.  ``report`` must be ``classify(A)``,
-    whose factor of A feeds the radius; without one, A is classified here.
-    The SPD verdict plays no part.  The radius is :func:`spectral_radius`'s
-    in power mode, given ``report.m``, so above ``SMALL_ORDER`` on a
-    nonsingular M-matrix, GJ and GGS at every m and SOR at omega <= 1 take
-    its regular-splitting route on A's factor: ARPACK on A^{-1} N, with
-    rho = tau / (1 + tau) (Varga, Thm 3.13).
+    accepts any finite nonzero omega for which band/omega stays finite.
+    ``report`` must be ``classify(A)``, whose factor of A feeds the radius;
+    without one, A is classified here.  The SPD verdict plays no part.  The
+    radius is :func:`spectral_radius`'s in power mode, given ``report.m``, so
+    above ``SMALL_ORDER`` on a nonsingular M-matrix, GJ and GGS at every m
+    and SOR at omega <= 1 take its regular-splitting route on A's factor:
+    ARPACK on A^{-1} N, with rho = tau / (1 + tau) (Varga, Thm 3.13).
     """
     if report is None:
         report = classify(A)

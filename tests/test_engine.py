@@ -426,9 +426,8 @@ class TestRegularSplittingRoute:
         st.integers(2, 20),
         st.integers(0, 2**32 - 1),
         st.sampled_from(["gj", "ggs", "sor"]),
-        # above 1, N has a negative diagonal and the splitting is not regular;
-        # below 1e-300, band/omega can overflow, which build_step refuses
-        st.floats(1e-300, 2.0, exclude_max=True),
+        # above 1, N has a negative diagonal and the splitting is not regular
+        st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
         st.data(),
     )
     def test_route_agrees_with_is_m_matrix(self, family, n, seed, method, omega, data):
@@ -445,7 +444,18 @@ class TestRegularSplittingRoute:
             # at m >= 1 the Laplacian's M is the singular A itself
             top = 0 if family == "singular" else n - 1
             m, omega = data.draw(st.integers(0, top), label="m"), None
-        op = build_step(extract_splitting(A, m), method, omega)
+        splitting = extract_splitting(A, m)
+        if omega is not None:
+            # at m = 0, M and N hold band/omega and (1/omega - 1)*band beside
+            # A's own off-diagonal entries
+            d = splitting.band.csr.data
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(d / omega).all() and np.isfinite((1.0 / omega - 1.0) * d).all()
+            if not finite:
+                with pytest.raises(ValueError, match="band/omega overflows"):
+                    build_step(splitting, method, omega)
+                return
+        op = build_step(splitting, method, omega)
         regular = (bool(np.all(op.n_part.data >= 0.0))
                    and is_z_matrix(SquareMatrix(op.m_part))
                    and is_m_matrix(SquareMatrix(op.m_part - op.n_part))[0])
