@@ -229,6 +229,8 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_rho(args, out) -> int:
     _, config = _method_plan(args.method, args.m, args.omega)
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     _, A, _, _ = _load_source(args)
     if not args.power and A.n > DEFAULT_DENSE_LIMIT:
         raise CliError(
@@ -296,23 +298,27 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=default_format)
 
     p_run = sub.add_parser("run", help="solve one system with one or more methods")
+    p_run.set_defaults(handler=_cmd_run)
     _add_source_arguments(p_run)
     p_run.add_argument("--method", required=True,
                        help="comma-separated: gj, ggs, sor, gsor")
     common_iteration(p_run, default_format="csv")
 
     p_table = sub.add_parser("table", help="reproduce the benchmark iteration tables")
+    p_table.set_defaults(handler=_cmd_table)
     p_table.add_argument("which", choices=("1", "2", "3", "4", "all"))
     p_table.add_argument("--layout", choices=LAYOUTS, default=LAYOUT_BENCH)
     common_iteration(p_table, default_format="markdown", omega=1.5)
 
     p_cls = sub.add_parser("classify", help="matrix-class certification report")
+    p_cls.set_defaults(handler=_cmd_classify)
     _add_source_arguments(p_cls)
     p_cls.add_argument("--predict", metavar="METHOD",
                        help="also predict convergence for gj/ggs/sor/gsor")
     method_spec(p_cls)
 
     p_rho = sub.add_parser("rho", help="spectral radius of an iteration matrix")
+    p_rho.set_defaults(handler=_cmd_rho)
     _add_source_arguments(p_rho)
     p_rho.add_argument("--method", required=True, help="gj, ggs, sor, or gsor")
     method_spec(p_rho)
@@ -326,6 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the matrix, its comparison matrix, splitting parts, "
         "or the rhs/exact-solution vectors",
     )
+    p_exp.set_defaults(handler=_cmd_export)
     _add_source_arguments(p_exp)
     p_exp.add_argument(
         "--what",
@@ -339,19 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "table": _cmd_table,
-    "classify": _cmd_classify,
-    "rho": _cmd_rho,
-    "export": _cmd_export,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return args.handler(args, sys.stdout)
     except (CliError, ValueError, FactorizationError, OSError) as err:
         print(f"gsolve: {err}", file=sys.stderr)
         return 2

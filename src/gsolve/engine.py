@@ -74,12 +74,11 @@ class IterationConfig:
 class SolveReport:
     """Outcome of :func:`solve`.
 
-    ``note`` says why an unconverged run stopped: ``"diverged"`` or
-    ``"max_iter"``.  ``setup_seconds`` is the time of splitting extraction
-    and factorization, ``elapsed_seconds`` that of the iteration loop.
+    ``note`` is empty iff ``converged``, else ``"diverged"`` or ``"max_iter"``.
+    ``setup_seconds`` is the time of splitting extraction and factorization,
+    ``elapsed_seconds`` that of the iteration loop.
     """
 
-    converged: bool
     iterations: int
     final_diff_norm: float
     final_error_norm: float | None
@@ -87,6 +86,10 @@ class SolveReport:
     setup_seconds: float
     solution: np.ndarray
     note: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return not self.note
 
 
 def _finite_vector(name: str, v, n: int) -> np.ndarray:
@@ -123,7 +126,6 @@ def solve(
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
     setup = time.perf_counter() - setup_start
 
-    converged = False
     note = ""
     diff = np.inf
     first_diff: float | None = None
@@ -140,7 +142,6 @@ def solve(
         if first_diff is None:
             first_diff = diff
         if diff <= config.tol:
-            converged = True
             break
         if not math.isfinite(diff) or diff > DIVERGENCE_GUARD * first_diff:
             note = "diverged"
@@ -151,7 +152,6 @@ def solve(
 
     err = None if x_exact is None else float(np.linalg.norm(x - x_exact))
     return SolveReport(
-        converged=converged,
         iterations=iterations,
         final_diff_norm=diff,
         final_error_norm=err,
@@ -180,16 +180,20 @@ class PowerEstimate:
     bounds (LAPACK Users' Guide, 3rd ed., sec. 4.8) and ``steps`` the order.
     Above it, ``value`` is |lambda| of ARPACK's dominant eigenpair (lambda,
     v), ||v|| = 1, and ``error_bound`` its residual ||H v - lambda v||; if
-    ARPACK does not converge, ``reliable`` is False, ``value`` NaN and
-    ``error_bound`` infinite.  ``steps`` then counts applications of the
-    operator ARPACK iterated (A^{-1} N on a certified regular splitting, H
-    otherwise) plus the 2 applications of H in the residual.
+    ARPACK does not converge, ``value`` is NaN and ``error_bound`` infinite.
+    ``steps`` then counts applications of the operator ARPACK iterated
+    (A^{-1} N on a certified regular splitting, H otherwise) plus the 2
+    applications of H in the residual.  ``reliable`` is False exactly when
+    ``value`` is NaN.
     """
 
     value: float
     error_bound: float
-    reliable: bool
     steps: int
+
+    @property
+    def reliable(self) -> bool:
+        return not math.isnan(self.value)
 
 
 def _regular_factor(op: StepOperator, certificate: MCertificate | None = None) -> SuperLU | None:
@@ -209,39 +213,35 @@ def _regular_factor(op: StepOperator, certificate: MCertificate | None = None) -
     return certificate.lu
 
 
-def _operator_radius(apply_h, n: int, seed: int, apply_regular=None) -> PowerEstimate:
-    """Dominant eigenpair of H by ARPACK.
+def _operator_radius(op: StepOperator, seed: int, lu: SuperLU | None = None) -> PowerEstimate:
+    """Dominant eigenpair of ``op``'s H by ARPACK, from a start vector drawn with ``seed``.
 
-    With ``apply_regular`` (x -> (M - N)^{-1} N x of a certified regular
-    splitting) the eigen-solve runs on that operator instead, and its
-    eigenvalue mu maps to H's mu / (1 + mu), with the same eigenvector.
+    With ``lu``, A's factor from :func:`_regular_factor`, the eigen-solve runs
+    on A^{-1} N instead, and its eigenvalue mu maps to H's mu / (1 + mu), with
+    the same eigenvector; the residual is taken with H either way.
     """
     steps = 0
 
-    def counted(apply):
-        def call(v: np.ndarray) -> np.ndarray:
-            nonlocal steps
-            steps += 1
-            return apply(v)
+    def apply(v: np.ndarray, solve=op.solve_m) -> np.ndarray:
+        nonlocal steps
+        steps += 1
+        return solve(op.n_part @ v)
 
-        return call
-
-    iterated = counted(apply_h if apply_regular is None else apply_regular)
-    op = LinearOperator((n, n), matvec=iterated, dtype=np.float64)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    iterated = LinearOperator((op.n, op.n), dtype=np.float64,
+                              matvec=apply if lu is None else (lambda v: apply(v, lu.solve)))
+    v0 = np.random.default_rng(seed).standard_normal(op.n)
     try:
-        lams, vecs = eigs(op, k=1, which="LM", v0=v0)
+        lams, vecs = eigs(iterated, k=1, which="LM", v0=v0)
     except ArpackError:  # no convergence, or no shift could be applied
-        return PowerEstimate(float("nan"), np.inf, False, steps)
+        return PowerEstimate(float("nan"), np.inf, steps)
     lam, v = lams[0], vecs[:, 0]
-    if apply_regular is not None:
+    if lu is not None:
         # An eigenvalue mu != tau with |mu| = tau would give H the eigenvalue
         # mu / (1 + mu), of modulus above tau / (1 + tau) = rho(H); so mu is tau.
         lam = lam / (1.0 + lam)
     # H is real, so it is applied to the real and imaginary parts apart.
-    apply = counted(apply_h)
     residual = apply(v.real) + 1j * apply(v.imag) - lam * v
-    return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), True, steps)
+    return PowerEstimate(float(abs(lam)), float(np.linalg.norm(residual)), steps)
 
 
 def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
@@ -266,8 +266,9 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     rho(H) = tau / (1 + tau) (Varga, Thm 3.13).  That covers GJ and GGS at
     every m and SOR (GSOR at m = 0) at omega <= 1 on nonsingular M-matrices.
     ``certificate`` is ``certify_m`` of the A that ``target`` splits, such
-    as ``classify(A).m``; without it A is certified here.  The residual is
-    still taken with H.  Every other operator is iterated as H.
+    as ``classify(A).m``; without it A is certified here.  Every other
+    operator is iterated as H (:func:`_operator_radius`), whose residual
+    gives ``error_bound`` either way.
     """
     if mode == "dense":
         dense = np.asarray(target, dtype=np.float64)
@@ -279,15 +280,12 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
             raise TypeError("power mode needs a StepOperator")
         op = target
         if op.n_part.nnz == 0:
-            return PowerEstimate(0.0, 0.0, True, 0)
+            return PowerEstimate(0.0, 0.0, 0)
         if op.n <= SMALL_ORDER:
             H = iteration_matrix(op)
             bound = np.finfo(np.float64).eps * float(np.linalg.norm(H, 1))
-            return PowerEstimate(spectral_radius(H), bound, True, op.n)
-        lu = _regular_factor(op, certificate)
-        apply_regular = None if lu is None else (lambda v: lu.solve(op.n_part @ v))
-        return _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, seed,
-                                apply_regular)
+            return PowerEstimate(spectral_radius(H), bound, op.n)
+        return _operator_radius(op, seed, _regular_factor(op, certificate))
     raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
 
 
@@ -301,21 +299,26 @@ class ConvergenceVerdict:
     """Outcome of matching (matrix class, method, omega) against the theorems.
 
     ``guarantee_source`` tags each convergence theorem that applies, and
-    ``guaranteed`` is derived from it: True iff at least one does.
     ``rho_estimate`` is the operator spectral radius of the iteration
     matrix (see :class:`PowerEstimate`), at any order, and ``None`` when
-    ARPACK did not converge.  ``predicted_converges`` is ``rho < 1`` when
-    the radius is known, the theorem verdict otherwise, and ``None`` when
-    neither is available.
+    ARPACK did not converge.  Both verdicts are derived from these two
+    fields: ``guaranteed`` is True iff at least one theorem applies, and
+    ``predicted_converges`` is ``rho < 1`` when the radius is known, the
+    theorem verdict when one applies, and ``None`` otherwise.
     """
 
     rho_estimate: float | None
     guarantee_source: tuple[str, ...] = ()
-    predicted_converges: bool | None = None
 
     @property
     def guaranteed(self) -> bool:
         return bool(self.guarantee_source)
+
+    @property
+    def predicted_converges(self) -> bool | None:
+        if self.rho_estimate is not None:
+            return bool(self.rho_estimate < 1.0)
+        return True if self.guarantee_source else None
 
 
 def predict(
@@ -368,13 +371,4 @@ def predict(
 
     estimate = spectral_radius(build_step(splitting, method, omega), mode="power",
                                certificate=report.m)
-    if estimate.reliable:
-        rho, predicted = estimate.value, bool(estimate.value < 1.0)
-    else:
-        rho, predicted = None, (True if tags else None)
-
-    return ConvergenceVerdict(
-        rho_estimate=rho,
-        guarantee_source=tuple(tags),
-        predicted_converges=predicted,
-    )
+    return ConvergenceVerdict(estimate.value if estimate.reliable else None, tuple(tags))

@@ -174,15 +174,18 @@ class StepOperator:
     """Prepared single-step update for one (method, splitting, omega) triple.
 
     ``lu`` is the factor of M: :class:`TridiagonalLDLT`, :class:`PermutedLU`
-    or SuperLU (see :func:`build_step`).  Immutable after construction; the
-    factor is read-only, so concurrent :meth:`step` calls on one operator
-    are safe.
+    or SuperLU (see :func:`build_step`).  The order ``n`` is derived from
+    ``n_part``.  Immutable after construction; the factor is read-only, so
+    concurrent :meth:`step` calls on one operator are safe.
     """
 
-    n: int
     m_part: sp.csr_array
     n_part: sp.csr_array
     lu: TridiagonalLDLT | PermutedLU | SuperLU
+
+    @property
+    def n(self) -> int:
+        return self.n_part.shape[0]
 
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
@@ -252,7 +255,7 @@ def build_step(
                 f"M part is singular for method={method.value}, m={splitting.m}: {err}"
             ) from err
 
-    return StepOperator(n=splitting.n, m_part=m_part, n_part=n_part, lu=lu)
+    return StepOperator(m_part=m_part, n_part=n_part, lu=lu)
 
 
 def iteration_matrix(op: StepOperator) -> np.ndarray:

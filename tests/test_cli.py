@@ -518,6 +518,14 @@ class TestRho:
         assert first[0] == second[0] == 0
         assert first[1].startswith("rho: ") and first[1] == second[1]
 
+    @pytest.mark.parametrize("n", ["5", "20"])
+    def test_negative_seed_is_a_usage_error_at_every_order(self, capsys, n):
+        # order 20 takes the dense route, order 380 ARPACK; both refuse the seed
+        code, out, err = run_cli(capsys, "rho", "--pde", "g=zero", f"n={n}",
+                                 "--method", "gj", "--power", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "--seed must be >= 0, got -1" in err
+
     def test_half_bandwidth_beyond_order_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "rho", "--pde", "g=zero", "n=5", "--method", "gj", "--m", "99"

@@ -17,7 +17,9 @@ from gsolve import (
     IterationConfig,
     Method,
     PowerEstimate,
+    SolveReport,
     SquareMatrix,
+    StepOperator,
     build_step,
     classify,
     extract_splitting,
@@ -312,7 +314,7 @@ class TestSpectralRadius:
     def test_power_flags_no_convergence(self, monkeypatch):
         monkeypatch.setattr(gsolve.engine, "eigs", _no_convergence)
         n = SMALL_ORDER + 10
-        estimate = _operator_radius(lambda v: 0.5 * v, n, 0)
+        estimate = _operator_radius(_operator_of(0.5 * np.eye(n, k=1)), 0)
         assert not estimate.reliable
         assert estimate.error_bound == np.inf
 
@@ -321,7 +323,7 @@ class TestSpectralRadius:
             raise ArpackError(3)  # no shifts could be applied during a cycle
 
         monkeypatch.setattr(gsolve.engine, "eigs", no_shifts)
-        estimate = _operator_radius(lambda v: 0.5 * v, SMALL_ORDER + 10, 0)
+        estimate = _operator_radius(_operator_of(0.5 * np.eye(SMALL_ORDER + 10, k=1)), 0)
         assert not estimate.reliable and np.isnan(estimate.value)
         assert estimate.error_bound == np.inf
 
@@ -332,10 +334,40 @@ class TestSpectralRadius:
         assert estimate.reliable
         assert estimate.value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_arpack_handles_complex_dominant_pair(self, seed):
+        # +-0.9i from a rotation block beside a nilpotent chain; N < 0, so the H route
+        n = SMALL_ORDER + 10
+        H = 0.5 * np.roll(np.eye(n), 1, axis=1)
+        H[:2, :] = H[:, :2] = 0.0
+        H[0, 1], H[1, 0] = -0.9, 0.9
+        estimate = spectral_radius(_operator_of(H), mode="power", seed=seed)
+        assert estimate.reliable
+        assert estimate.value == pytest.approx(0.9, abs=1e-12)
+        assert estimate.error_bound <= 1e-12
+
+    def test_result_types_store_only_what_was_measured(self):
+        fields = {cls: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (PowerEstimate, SolveReport, StepOperator)}
+        assert fields == {
+            PowerEstimate: ["value", "error_bound", "steps"],
+            SolveReport: ["iterations", "final_diff_norm", "final_error_norm",
+                          "elapsed_seconds", "setup_seconds", "solution", "note"],
+            StepOperator: ["m_part", "n_part", "lu"],
+        }
+        assert not PowerEstimate(float("nan"), np.inf, 0).reliable
+        report = SolveReport(5, 1.0, None, 0.0, 0.0, np.zeros(2), "max_iter")
+        op = _operator_of([[0.0, 1.0], [0.0, 0.0]])
+        assert not report.converged and op.n == 2
+        for obj, name in ((PowerEstimate(0.5, 0.0, 3), "reliable"), (report, "converged"),
+                          (op, "n")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
     def test_power_on_empty_n_part_is_zero(self, spd3):
         # full bandwidth: GJ is a direct solve, N = 0
         op = build_step(extract_splitting(spd3, 2), "gj")
-        assert spectral_radius(op, mode="power") == PowerEstimate(0.0, 0.0, True, 0)
+        assert spectral_radius(op, mode="power") == PowerEstimate(0.0, 0.0, 0)
 
     @pytest.mark.parametrize("g, n, method, m, omega", [
         ("zero", 10, "gsor", 1, 1.5), ("negexp4xy", 8, "gj", 1, None),
@@ -350,7 +382,7 @@ class TestSpectralRadius:
         estimate = spectral_radius(op, mode="power", seed=4)
         assert estimate == PowerEstimate(spectral_radius(H),
                                          np.finfo(np.float64).eps * np.linalg.norm(H, 1),
-                                         True, A.n)
+                                         A.n)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -548,7 +580,7 @@ class TestRegularSplittingRoute:
             assert _regular_factor(op, certificate) is None, name
             if op.n > SMALL_ORDER:
                 got = spectral_radius(op, mode="power", seed=5, certificate=certificate)
-                as_h = _operator_radius(lambda v: op.solve_m(op.n_part @ v), op.n, 5)
+                as_h = _operator_radius(op, 5)
                 np.testing.assert_equal(dataclasses.astuple(got),
                                         dataclasses.astuple(as_h), err_msg=name)
         assert spectral_radius(refusals["spd3"][0], mode="power").value == pytest.approx(
@@ -686,11 +718,17 @@ class TestPredict:
 
     def test_guaranteed_is_derived_from_the_sources(self):
         assert [f.name for f in dataclasses.fields(ConvergenceVerdict)] == [
-            "rho_estimate", "guarantee_source", "predicted_converges"]
+            "rho_estimate", "guarantee_source"]
         assert ConvergenceVerdict(0.5, ("M+GJ",)).guaranteed
         assert not ConvergenceVerdict(0.5).guaranteed
         with pytest.raises(AttributeError):
             ConvergenceVerdict(0.5).guaranteed = True
+        # rho decides when known; else a theorem's guarantee; else undetermined
+        assert ConvergenceVerdict(1.2, ("M+GJ",)).predicted_converges is False
+        assert ConvergenceVerdict(None, ("M+GJ",)).predicted_converges is True
+        assert ConvergenceVerdict(None).predicted_converges is None
+        with pytest.raises(AttributeError):
+            ConvergenceVerdict(0.5).predicted_converges = False
 
     @pytest.mark.parametrize(
         "config",
@@ -783,7 +821,7 @@ class TestSparseLUPanel:
             factors.append(splu(*args, **kwargs))
             return factors[-1]
 
-        skip_radius = PowerEstimate(float("nan"), np.inf, False, 0)
+        skip_radius = PowerEstimate(float("nan"), np.inf, 0)
         with mock.patch.object(gsolve.matrices, "splu", side_effect=recording_splu), \
                 mock.patch.object(gsolve.engine, "spectral_radius", return_value=skip_radius):
             verdict = predict(A, IterationConfig("gsor", m=1, omega=omega), report=report)
