@@ -13,21 +13,17 @@ from .matrices import SquareMatrix
 
 def spd_3x3() -> SquareMatrix:
     """Symmetric positive definite; GJ and GGS diverge for m = 1."""
-    return SquareMatrix.from_dense(
-        [[410.0, -195.0, -90.0], [-195.0, 151.0, 112.0], [-90.0, 112.0, 132.0]]
-    )
+    return SquareMatrix([[410.0, -195.0, -90.0], [-195.0, 151.0, 112.0], [-90.0, 112.0, 132.0]])
 
 
 def l_3x3() -> SquareMatrix:
     """An L-matrix that is not an M-matrix; GJ and GGS diverge for m = 1."""
-    return SquareMatrix.from_dense(
-        [[1.0, -1.0, -5.0], [-2.0, 3.0, -4.0], [-1.0, -5.0, 3.0]]
-    )
+    return SquareMatrix([[1.0, -1.0, -5.0], [-2.0, 3.0, -4.0], [-1.0, -5.0, 3.0]])
 
 
 def spd_4x4() -> SquareMatrix:
     """Symmetric positive definite; GSOR at m = 2, omega = 1.8 diverges."""
-    return SquareMatrix.from_dense(
+    return SquareMatrix(
         [
             [5.0, 1.0, 4.0, 2.0],
             [1.0, 5.0, 3.0, 2.0],

@@ -14,7 +14,7 @@ def random_sdd_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:
     margin = rng.uniform(0.1, 1.0, size=n)
     diag_sign = rng.choice([-1.0, 1.0], size=n)
     np.fill_diagonal(a, diag_sign * (np.abs(a).sum(axis=1) + margin))
-    return SquareMatrix.from_dense(a)
+    return SquareMatrix(a)
 
 
 def random_m_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:
@@ -22,7 +22,7 @@ def random_m_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:
     b = rng.uniform(0.0, 1.0, size=(n, n))
     rho_b = float(np.max(np.abs(np.linalg.eigvals(b))))
     s = rho_b * (1.0 + rng.uniform(0.05, 1.0))
-    return SquareMatrix.from_dense(s * np.eye(n) - b)
+    return SquareMatrix(s * np.eye(n) - b)
 
 
 def random_h_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:
@@ -30,7 +30,7 @@ def random_h_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:
 
     Sign flips leave the comparison matrix (the original M-matrix) unchanged.
     """
-    a = random_m_matrix(n, rng).to_dense()
+    a = random_m_matrix(n, rng).csr.toarray()
     flips = rng.choice([-1.0, 1.0], size=a.shape)
     np.fill_diagonal(flips, 1.0)
-    return SquareMatrix.from_dense(a * flips)
+    return SquareMatrix(a * flips)

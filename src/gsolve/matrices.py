@@ -36,12 +36,14 @@ SPLU_PANEL_SIZE = 1
 class SquareMatrix:
     """Real n-by-n matrix in sparse CSR form.
 
-    The constructor takes any 2-D array that ``scipy.sparse.csr_array``
-    accepts (dense, COO, CSR, ...) and stores a float64 CSR copy with
-    duplicate coordinates summed (Matrix Market convention), zeros dropped
-    and indices sorted.  It rejects a non-square array, order 0 and NaN or
-    infinite entries, so every instance has a positive order and finite,
-    nonzero entries, one per coordinate.
+    ``SquareMatrix(array)`` is the only constructor.  It takes any 2-D array
+    that ``scipy.sparse.csr_array`` accepts (nested lists, dense, COO, CSR,
+    ...) and stores a float64 CSR copy with duplicate coordinates summed
+    (Matrix Market convention), zeros dropped and indices sorted.  It rejects
+    a non-square array, order 0 and NaN or infinite entries, so every
+    instance has a positive order and finite, nonzero entries, one per
+    coordinate.  The identity is ``SquareMatrix(sp.eye_array(n))`` and the
+    dense form ``A.csr.toarray()``.
     """
 
     csr: sp.csr_array
@@ -59,14 +61,6 @@ class SquareMatrix:
             raise ValueError("matrix entries must be finite, got NaN or inf")
         object.__setattr__(self, "csr", csr)
 
-    @classmethod
-    def from_dense(cls, arr) -> "SquareMatrix":
-        return cls(np.asarray(arr, dtype=np.float64))
-
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls(sp.eye_array(n, format="csr"))
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -76,9 +70,6 @@ class SquareMatrix:
     @property
     def nnz(self) -> int:
         return int(self.csr.nnz)
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
 
     def same_entries(self, other: "SquareMatrix") -> bool:
         """Exact equality of stored values (bitwise, no tolerance)."""
@@ -118,10 +109,6 @@ class BandedSplitting:
     @property
     def n(self) -> int:
         return self.band.n
-
-    def reassemble(self) -> SquareMatrix:
-        """The original matrix, reconstructed as band - lower - upper."""
-        return SquareMatrix(self.band.csr - self.lower.csr - self.upper.csr)
 
     def blocks(self) -> np.ndarray:
         """Bounds of the diagonal blocks of the band: block k is [b[k], b[k+1]).

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,42 +116,33 @@ class PermutedLU:
         return self.lu.U
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + l) over the pairs (s, l)."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
 def _dissection_order(splitting: BandedSplitting) -> np.ndarray:
     """Nested-dissection order of the indices inside each diagonal block of the band.
 
     A block whose band entries reach at most w off the diagonal is split at a
     separator of w consecutive indices, so that no band entry joins the two
-    halves; the halves are ordered recursively and the separator after them.
-    Runs of at most 2w indices keep natural order.  All segments of one
-    recursion level are handled together.
+    halves: a run of L indices lists its first (L - w) // 2 indices, then the
+    indices after the separator, each part ordered the same way, and then the
+    separator.  Runs of at most max(2w, 1) indices keep natural order.  The
+    order of a run depends only on (L, w), so equal blocks, such as the lines
+    of a PDE grid, share one recursion.
     """
     bounds = splitting.blocks()
     coo = splitting.band.csr.tocoo()
     width = np.zeros(bounds.size - 1, dtype=np.intp)
-    block_of = np.searchsorted(bounds, coo.row, side="right") - 1
-    np.maximum.at(width, block_of, np.abs(coo.row - coo.col))
-    perm = np.empty(splitting.n, dtype=np.intp)
-    # segment k puts the indices start[k] + [0, length[k]) into perm from place[k] on
-    start = place = bounds[:-1]
-    length = np.diff(bounds)
-    while start.size:
-        leaf = length <= np.maximum(2 * width, 1)
-        perm[_ranges(place[leaf], length[leaf])] = _ranges(start[leaf], length[leaf])
-        split = ~leaf
-        start, place, length, width = start[split], place[split], length[split], width[split]
-        half = (length - width) // 2
-        perm[_ranges(place + length - width, width)] = _ranges(start + half, width)
-        start = np.concatenate([start, start + half + width])
-        place = np.concatenate([place, place + half])
-        length = np.concatenate([half, length - width - half])
-        width = np.concatenate([width, width])
-    return perm
+    np.maximum.at(width, np.searchsorted(bounds, coo.row, side="right") - 1,
+                  np.abs(coo.row - coo.col))
+
+    @cache
+    def order(length: int, w: int) -> np.ndarray:
+        if length <= max(2 * w, 1):
+            return np.arange(length)
+        half = (length - w) // 2
+        return np.concatenate([order(half, w), half + w + order(length - w - half, w),
+                               half + np.arange(w)])
+
+    return np.concatenate([start + order(length, w) for start, length, w in
+                           zip(bounds[:-1].tolist(), np.diff(bounds).tolist(), width.tolist())])
 
 
 def _spd_tridiagonal_factor(m_part: sp.csr_array) -> TridiagonalLDLT | None:

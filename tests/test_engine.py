@@ -48,7 +48,7 @@ def _zero_row_sum_laplacian(n):
     """Tridiagonal [-1, 2, -1] with 1 in both corners: a singular Z-matrix."""
     laplacian = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
     laplacian[0, 0] = laplacian[-1, -1] = 1.0
-    return SquareMatrix.from_dense(laplacian)
+    return SquareMatrix(laplacian)
 
 
 def _shifted_z_matrix(n, rng):
@@ -56,7 +56,7 @@ def _shifted_z_matrix(n, rng):
     b = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(b, 0.0)
     s = float(np.max(np.abs(np.linalg.eigvals(b)))) * rng.uniform(0.3, 0.95)
-    return SquareMatrix.from_dense(s * np.eye(n) - b)
+    return SquareMatrix(s * np.eye(n) - b)
 
 
 def _margin_certified(splitting, omega):
@@ -74,7 +74,7 @@ def _m_part_certified(op):
 
 def _operator_of(H):
     """GJ at m = 0 of A = I - H, a step operator whose M is I and N is H (zero diagonal)."""
-    A = SquareMatrix.from_dense(np.eye(len(H)) - np.asarray(H, dtype=np.float64))
+    A = SquareMatrix(np.eye(len(H)) - np.asarray(H, dtype=np.float64))
     return build_step(extract_splitting(A, 0), "gj")
 
 
@@ -131,7 +131,7 @@ class TestIterationConfig:
         monkeypatch.setattr(gsolve.engine, "extract_splitting", refuse)
         with pytest.raises(ValueError, match=message):
             config = IterationConfig("gj", **{"m": 1, field: value})
-            solve(SquareMatrix.identity(3), np.ones(3), config)
+            solve(SquareMatrix(np.eye(3)), np.ones(3), config)
 
     def test_whole_float_counts_are_stored_as_int(self):
         config = IterationConfig("gj", m=1.0, max_iter=10.0)
@@ -146,7 +146,7 @@ class TestIterationConfig:
 
 class TestSolve:
     def test_identity_converges_within_two_iterations(self):
-        A = SquareMatrix.identity(5)
+        A = SquareMatrix(np.eye(5))
         report = solve(A, np.ones(5), IterationConfig("gj", m=0))
         assert report.converged
         assert report.iterations <= 2
@@ -193,7 +193,7 @@ class TestSolve:
         np.testing.assert_array_equal(report.solution, x)
 
     def test_divergence_guard_trips_early(self, spd3):
-        b = spd3.to_dense() @ np.ones(3)
+        b = spd3.csr.toarray() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("ggs", m=1))
         assert not report.converged
         assert report.note == "diverged"
@@ -246,7 +246,7 @@ class TestSolve:
             self._solve_without_set_up(name, vec)
 
     def test_max_iter_is_respected(self, spd3):
-        b = spd3.to_dense() @ np.ones(3)
+        b = spd3.csr.toarray() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("gj", m=1, max_iter=5))
         assert not report.converged
         assert report.iterations <= 5
@@ -553,9 +553,9 @@ class TestRegularSplittingRoute:
         # A is certified, but N = (1 - omega) band + omega upper has a negative diagonal
         yield "negative N, certified A", overrelaxed, certify_m(bench)
         yield "spd3", build_step(extract_splitting(spd3, 1), "gj"), None
-        dense = assemble(6, "zero", layout=LAYOUT_BENCH).A.to_dense()
+        dense = assemble(6, "zero", layout=LAYOUT_BENCH).A.csr.toarray()
         dense[0, 7] = 0.5  # above the band of m = 1: N = upper gets one negative entry
-        yield "negative N", build_step(extract_splitting(SquareMatrix.from_dense(dense), 1),
+        yield "negative N", build_step(extract_splitting(SquareMatrix(dense), 1),
                                        "ggs"), None
         laplacian = _zero_row_sum_laplacian(40)
         yield "singular", build_step(extract_splitting(laplacian, 0), "ggs"), None
@@ -565,7 +565,7 @@ class TestRegularSplittingRoute:
         yield ("uncertified certificate", build_step(extract_splitting(shifted, 1), "ggs"),
                certify_m(shifted))
         # A = I is certified, but omega < 0 gives N = (1/omega - 1) I = -3 I < 0
-        identity = SquareMatrix.identity(40)
+        identity = SquareMatrix(np.eye(40))
         yield ("gsor omega<0", build_step(extract_splitting(identity, 0), "gsor", -0.5),
                certify_m(identity))
 
@@ -630,7 +630,7 @@ class TestPredict:
             omega = min(1.0 + (limit - 1.0) / 2, 1.9)
             splitting = extract_splitting(A, 1)
             gate = spectral_radius(
-                np.linalg.solve(splitting.band.to_dense(), splitting.lower.to_dense())
+                np.linalg.solve(splitting.band.csr.toarray(), splitting.lower.csr.toarray())
             )
             verdict = predict(A, IterationConfig("gsor", m=1, omega=omega))
             if gate < 1.0 / omega:
@@ -644,7 +644,7 @@ class TestPredict:
         # the LDL^T factor, and the margin (2/omega - 1) A is an M-matrix
         # exactly for omega < 2.
         n = 30
-        A = SquareMatrix.from_dense(4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        A = SquareMatrix(4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
         report = classify(A)
         for omega, covered in ((1.2, True), (1.9, True), (2.0, False)):
             assert isinstance(build_step(extract_splitting(A, 1), "gsor", omega).lu,
@@ -676,7 +676,7 @@ class TestPredict:
         rho_gj = spectral_radius(_explicit_h(A, "gj", m))
         splitting = extract_splitting(A, m)
         gate = spectral_radius(
-            np.linalg.solve(splitting.band.to_dense(), splitting.lower.to_dense())
+            np.linalg.solve(splitting.band.csr.toarray(), splitting.lower.csr.toarray())
         )
         want = omega < 2.0 / (1.0 + rho_gj) and gate < 1.0 / omega
         verdict = predict(A, IterationConfig("gsor", m=m, omega=omega))
@@ -688,10 +688,10 @@ class TestPredict:
     def test_margin_certificate_implies_m_part_certificate(self, n, seed, sparse, omega,
                                                            data):
         rng = np.random.default_rng(seed)
-        a = random_m_matrix(n, rng).to_dense()
+        a = random_m_matrix(n, rng).csr.toarray()
         if sparse:  # dropping off-diagonal entries keeps an M-matrix one
             a[(rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = 0.0
-        A = SquareMatrix.from_dense(a)
+        A = SquareMatrix(a)
         m = data.draw(st.integers(0, n - 1), label="m")
         splitting = extract_splitting(A, m)
         margin = _margin_certified(splitting, omega)

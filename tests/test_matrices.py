@@ -36,7 +36,7 @@ def matrix_and_bandwidth(draw, max_n=7, elements=None):
         elements = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
     arr = draw(hnp.arrays(np.float64, (n, n), elements=elements))
     m = draw(st.integers(0, n - 1))
-    return SquareMatrix.from_dense(arr), m
+    return SquareMatrix(arr), m
 
 
 def _from_triples(n, rows, cols, vals):
@@ -64,18 +64,18 @@ class TestSquareMatrix:
            st.data())
     def test_non_finite_entries_rejected(self, case, bad, data):
         A, _ = case
-        dense = A.to_dense()
+        dense = A.csr.toarray()
         i = data.draw(st.integers(0, A.n - 1), label="i")
         j = data.draw(st.integers(0, A.n - 1), label="j")
         dense[i, j] = bad
         with pytest.raises(ValueError, match="finite"):
-            SquareMatrix.from_dense(dense)
+            SquareMatrix(dense)
         with pytest.raises(ValueError, match="finite"):
             _from_triples(A.n, [i], [j], [bad])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            SquareMatrix.from_dense([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+            SquareMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         with pytest.raises(ValueError, match="matrix must be square"):
             SquareMatrix(sp.csr_array(np.ones((2, 3))))
         for bad in (np.ones((3, 4)), np.ones(3)):
@@ -85,39 +85,39 @@ class TestSquareMatrix:
     def test_constructor_takes_any_square_array(self):
         A = SquareMatrix(np.eye(3))
         assert A.n == 3
-        assert A.same_entries(SquareMatrix.identity(3))
+        assert A.same_entries(SquareMatrix(sp.eye_array(3)))
         # (0, 0) appears twice and (1, 0) is stored as an explicit zero
         coo = sp.coo_array(([1.0, 2.0, 0.0, 4.0], ([0, 0, 1, 1], [0, 0, 0, 1])), shape=(2, 2))
-        assert SquareMatrix(coo).same_entries(SquareMatrix.from_dense([[3.0, 0.0], [0.0, 4.0]]))
+        assert SquareMatrix(coo).same_entries(SquareMatrix([[3.0, 0.0], [0.0, 4.0]]))
 
     def test_constructor_keeps_no_reference_to_its_argument(self):
         csr = sp.csr_array(np.eye(2))
         A = SquareMatrix(csr)
         csr.data[:] = 7.0
-        assert A.same_entries(SquareMatrix.identity(2))
+        assert A.same_entries(SquareMatrix(np.eye(2)))
 
     def test_order_zero_rejected_by_every_constructor(self):
         for build in (
             lambda: SquareMatrix(sp.csr_array((0, 0))),
-            lambda: SquareMatrix.from_dense(np.zeros((0, 0))),
-            lambda: SquareMatrix.identity(0),
+            lambda: SquareMatrix(np.zeros((0, 0))),
+            lambda: SquareMatrix(sp.eye_array(0)),
         ):
             with pytest.raises(ValueError, match="order must be positive, got 0"):
                 build()
 
     def test_same_entries_and_transpose(self):
-        A = SquareMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        A = SquareMatrix([[1.0, 2.0], [0.0, 3.0]])
         transpose = SquareMatrix(A.csr.T)
         assert A.same_entries(A)
         assert not A.same_entries(transpose)
-        assert not A.same_entries(SquareMatrix.identity(3))
+        assert not A.same_entries(SquareMatrix(np.eye(3)))
         assert transpose.csr[0, 1] == 0.0
         assert transpose.csr[1, 0] == 2.0
 
     def test_is_symmetric_is_exact(self):
-        A = SquareMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]])
+        A = SquareMatrix([[1.0, 2.0], [2.0, 1.0]])
         assert A.is_symmetric()
-        B = SquareMatrix.from_dense([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
+        B = SquareMatrix([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
         assert not B.is_symmetric()
 
 
@@ -125,10 +125,10 @@ class TestExtractSplitting:
     def test_spd3_bandwidth_one(self, spd3):
         s = extract_splitting(spd3, 1)
         band = np.array([[410.0, -195.0, 0.0], [-195.0, 151.0, 112.0], [0.0, 112.0, 132.0]])
-        assert np.array_equal(s.band.to_dense(), band)
-        assert np.array_equal(s.lower.to_dense(), [[0.0] * 3, [0.0] * 3, [90.0, 0.0, 0.0]])
+        assert np.array_equal(s.band.csr.toarray(), band)
+        assert np.array_equal(s.lower.csr.toarray(), [[0.0] * 3, [0.0] * 3, [90.0, 0.0, 0.0]])
         assert s.upper.same_entries(SquareMatrix(s.lower.csr.T))
-        assert s.reassemble().same_entries(spd3)
+        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(spd3)
 
     def test_full_band_is_whole_matrix(self, lmat3):
         s = extract_splitting(lmat3, 2)
@@ -138,22 +138,22 @@ class TestExtractSplitting:
 
     def test_bandwidth_zero_is_classical_split(self, lmat3):
         s = extract_splitting(lmat3, 0)
-        dense = lmat3.to_dense()
-        assert np.array_equal(s.band.to_dense(), np.diag(np.diag(dense)))
-        assert np.array_equal(s.lower.to_dense(), -np.tril(dense, -1))
-        assert np.array_equal(s.upper.to_dense(), -np.triu(dense, 1))
+        dense = lmat3.csr.toarray()
+        assert np.array_equal(s.band.csr.toarray(), np.diag(np.diag(dense)))
+        assert np.array_equal(s.lower.csr.toarray(), -np.tril(dense, -1))
+        assert np.array_equal(s.upper.csr.toarray(), -np.triu(dense, 1))
 
-    def test_random_dense_reassembles(self):
+    def test_random_dense_splits_exactly(self):
         rng = np.random.default_rng(7)
         dense = rng.uniform(-5, 5, size=(5, 5))
-        A = SquareMatrix.from_dense(dense)
+        A = SquareMatrix(dense)
         s = extract_splitting(A, 2)
         # independent entrywise recomputation of the three parts
         i, j = np.indices((5, 5))
-        assert np.array_equal(s.band.to_dense(), np.where(np.abs(i - j) <= 2, dense, 0.0))
-        assert np.array_equal(s.lower.to_dense(), np.where(i - j > 2, -dense, 0.0))
-        assert np.array_equal(s.upper.to_dense(), np.where(j - i > 2, -dense, 0.0))
-        assert s.reassemble().same_entries(A)
+        assert np.array_equal(s.band.csr.toarray(), np.where(np.abs(i - j) <= 2, dense, 0.0))
+        assert np.array_equal(s.lower.csr.toarray(), np.where(i - j > 2, -dense, 0.0))
+        assert np.array_equal(s.upper.csr.toarray(), np.where(j - i > 2, -dense, 0.0))
+        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(A)
 
     def test_bandwidth_out_of_range(self, spd3):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestExtractSplitting:
     def test_reconstruction_and_band_structure(self, case):
         A, m = case
         s = extract_splitting(A, m)
-        assert s.reassemble().same_entries(A)
+        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(A)
         band, lower, upper = (p.csr.tocoo() for p in (s.band, s.lower, s.upper))
         assert np.all(np.abs(band.row - band.col) <= m)
         assert np.all(lower.row > lower.col + m)
@@ -216,16 +216,16 @@ class TestComparisonMatrix:
         assert comparison_matrix(lmat3).same_entries(lmat3)
 
     def test_small_example(self):
-        A = SquareMatrix.from_dense([[4.0, 2.0], [-1.0, 3.0]])
+        A = SquareMatrix([[4.0, 2.0], [-1.0, 3.0]])
         assert np.array_equal(
-            comparison_matrix(A).to_dense(), np.array([[4.0, -2.0], [-1.0, 3.0]])
+            comparison_matrix(A).csr.toarray(), np.array([[4.0, -2.0], [-1.0, 3.0]])
         )
 
     def test_idempotent_on_random_matrices(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = rng.integers(2, 9)
-            A = SquareMatrix.from_dense(rng.uniform(-3, 3, size=(n, n)))
+            A = SquareMatrix(rng.uniform(-3, 3, size=(n, n)))
             once = comparison_matrix(A)
             assert comparison_matrix(once).same_entries(once)
 
@@ -233,22 +233,22 @@ class TestComparisonMatrix:
     @given(matrix_and_bandwidth())
     def test_fixed_point_iff_z_with_nonnegative_diagonal(self, case):
         A, _ = case
-        dense = A.to_dense()
+        dense = A.csr.toarray()
         z_form = -np.abs(dense)
         np.fill_diagonal(z_form, np.abs(np.diag(dense)))
-        Z = SquareMatrix.from_dense(z_form)
+        Z = SquareMatrix(z_form)
         assert comparison_matrix(Z).same_entries(Z)
 
 
 class TestPredicates:
     def test_sdd_hand_examples(self, lmat3):
-        assert is_sdd(SquareMatrix.from_dense([[3.0, 1.0, 1.0], [0.0, 2.0, -1.0], [1.0, 0.0, 5.0]]))
+        assert is_sdd(SquareMatrix([[3.0, 1.0, 1.0], [0.0, 2.0, -1.0], [1.0, 0.0, 5.0]]))
         assert not is_sdd(lmat3)  # row 1: 1 < 6
-        assert not is_sdd(SquareMatrix.from_dense(np.zeros((3, 3))))
+        assert not is_sdd(SquareMatrix(np.zeros((3, 3))))
 
     def test_l_matrix(self, lmat3, spd3):
         assert is_l_matrix(lmat3)
-        assert is_l_matrix(SquareMatrix.identity(4))
+        assert is_l_matrix(SquareMatrix(np.eye(4)))
         assert not is_l_matrix(spd3)  # positive off-diagonal entry
 
     def test_z_matrix(self, lmat3, spd3):
@@ -256,7 +256,7 @@ class TestPredicates:
         assert not is_z_matrix(spd3)
 
     def test_m_matrix_simple(self):
-        ok, witness = is_m_matrix(SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]))
+        ok, witness = is_m_matrix(SquareMatrix([[2.0, -1.0], [-1.0, 2.0]]))
         assert ok
         np.testing.assert_allclose(witness, [1.0, 1.0])
 
@@ -268,13 +268,13 @@ class TestPredicates:
         assert is_m_matrix(spd3) == (False, None)
 
     def test_singular_z_is_not_m(self):
-        ok, _ = is_m_matrix(SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
+        ok, _ = is_m_matrix(SquareMatrix([[1.0, -1.0], [-1.0, 1.0]]))
         assert not ok
-        report = classify(SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
+        report = classify(SquareMatrix([[1.0, -1.0], [-1.0, 1.0]]))
         assert any("singular" in note for note in report.notes)
 
     def test_positive_witness_reasons(self):
-        A = SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        A = SquareMatrix([[2.0, -1.0], [-1.0, 2.0]])
         witness, note = positive_witness(A, [3.0, 3.0])
         np.testing.assert_array_equal(witness, [1.0, 1.0])
         assert note is None
@@ -289,7 +289,7 @@ class TestPredicates:
         scale = np.ones(A.n)
         scale[0] = 1e13
         for B in (SquareMatrix(A.csr @ sp.diags_array(scale)),
-                  SquareMatrix.from_dense(np.diag([1.0, 1e13]))):
+                  SquareMatrix(np.diag([1.0, 1e13]))):
             report = classify(B)
             assert report.is_m and report.is_h
             assert report.notes == ()
@@ -300,7 +300,7 @@ class TestPredicates:
         assert ok
         assert witness is not None and np.all(witness > 0)
         # dense inversion oracle on the 25x25 system
-        assert np.all(np.linalg.inv(problem.A.to_dense()) >= -1e-12)
+        assert np.all(np.linalg.inv(problem.A.csr.toarray()) >= -1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 25), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0),
@@ -318,7 +318,7 @@ class TestPredicates:
         a = shift * rho_b * np.eye(n) - b
         dense_verdict = bool(np.min(np.linalg.eigvals(a).real) > 0.0)
         assert dense_verdict == (shift > 1.0)
-        assert is_m_matrix(SquareMatrix.from_dense(a))[0] == dense_verdict
+        assert is_m_matrix(SquareMatrix(a))[0] == dense_verdict
 
     def test_m_agrees_with_inverse_oracle_on_z_matrices(self):
         rng = np.random.default_rng(5)
@@ -331,19 +331,19 @@ class TestPredicates:
                 s = rho_b * (1.0 + rng.uniform(0.05, 1.0))
             else:
                 s = rho_b * rng.uniform(0.3, 0.95)
-            A = SquareMatrix.from_dense(s * np.eye(n) - b)
+            A = SquareMatrix(s * np.eye(n) - b)
             ok, _ = is_m_matrix(A)
-            dense = A.to_dense()
+            dense = A.csr.toarray()
             if abs(np.linalg.det(dense)) > 1e-10:
                 oracle = bool(np.all(np.linalg.inv(dense) >= -1e-12))
                 assert ok == oracle
 
     def test_h_matrix(self, lmat3):
         assert not is_h_matrix(lmat3)  # its own comparison matrix, not M
-        A = SquareMatrix.from_dense([[4.0, 1.0], [2.0, 3.0]])
+        A = SquareMatrix([[4.0, 1.0], [2.0, 3.0]])
         assert is_h_matrix(A)
         # hand oracle: comparison [[4,-2],[-1,3]] has inverse [[0.3,0.1],[0.2,0.4]] >= 0
-        inv = np.linalg.inv(comparison_matrix(A).to_dense())
+        inv = np.linalg.inv(comparison_matrix(A).csr.toarray())
         np.testing.assert_allclose(inv, [[0.3, 0.1], [0.2, 0.4]])
 
     def test_sdd_implies_h(self):
@@ -353,17 +353,17 @@ class TestPredicates:
             a = rng.uniform(-1, 1, size=(n, n))
             np.fill_diagonal(a, 0.0)
             np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n))
-            A = SquareMatrix.from_dense(a)
+            A = SquareMatrix(a)
             assert is_sdd(A)
             assert is_h_matrix(A)
 
     def test_spd_fixtures(self, spd3, spd4):
         assert is_spd(spd3)
         assert is_spd(spd4)
-        assert not is_spd(SquareMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+        assert not is_spd(SquareMatrix([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_spd_requires_exact_symmetry(self):
-        A = SquareMatrix.from_dense([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+        A = SquareMatrix([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
         assert not is_spd(A)
 
     def test_spd_agrees_with_eigenvalue_oracle(self):
@@ -374,7 +374,7 @@ class TestPredicates:
             sym = (base + base.T) / 2.0
             if rng.uniform() < 0.5:
                 sym += n * np.eye(n)  # push towards positive definite
-            A = SquareMatrix.from_dense(sym)
+            A = SquareMatrix(sym)
             oracle = bool(np.all(np.linalg.eigvalsh(sym) > 0))
             assert is_spd(A) == oracle
 
@@ -394,16 +394,16 @@ class TestPredicates:
         except np.linalg.LinAlgError:
             dense_verdict = False
 
-        report = classify(SquareMatrix.from_dense(sym))
+        report = classify(SquareMatrix(sym))
         assert report.is_spd == dense_verdict == definite
 
 
 def _negative_diagonal_z_matrix(n, rng):
     """A Z-matrix that is not an M-matrix although its comparison matrix is."""
-    a = random_m_matrix(n, rng).to_dense()
+    a = random_m_matrix(n, rng).csr.toarray()
     i = int(rng.integers(n))
     a[i, i] = -a[i, i]
-    return SquareMatrix.from_dense(a)
+    return SquareMatrix(a)
 
 
 class TestClassify:
@@ -454,10 +454,10 @@ class TestClassify:
         np.testing.assert_array_equal(classify(A).m.witness, witness)
 
     def test_certificate_returns_a_factor_only_when_certified(self, lmat3, spd3):
-        singular = SquareMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]])
+        singular = SquareMatrix([[1.0, -1.0], [-1.0, 1.0]])
         # elimination without row pivoting meets a zero first pivot, a zero
         # Schur pivot and a negative pivot in these three
-        bad_pivots = [SquareMatrix.from_dense(d) for d in (
+        bad_pivots = [SquareMatrix(d) for d in (
             [[0.0, -1.0], [-1.0, 0.0]],
             [[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 1.0]],
             [[-1.0, 0.0], [0.0, 1.0]],
@@ -465,12 +465,12 @@ class TestClassify:
         for A, note in ((spd3, "not a Z-matrix"), (singular, "singular"),
                         *((B, "witness has nonpositive components") for B in (lmat3, *bad_pivots))):
             assert certify_m(A) == (None, None, note)
-        lu, witness, _ = certify_m(SquareMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]))
+        lu, witness, _ = certify_m(SquareMatrix([[2.0, -1.0], [-1.0, 2.0]]))
         np.testing.assert_array_equal(lu.solve(np.ones(2)), [1.0, 1.0])
         np.testing.assert_array_equal(witness, [1.0, 1.0])
 
     def test_report_consistency(self, lmat3, spd3):
-        for A in (lmat3, spd3, SquareMatrix.identity(4)):
+        for A in (lmat3, spd3, SquareMatrix(np.eye(4))):
             report = classify(A)
             if report.is_m:
                 assert report.is_z
@@ -481,7 +481,7 @@ class TestClassify:
             assert report.is_h == is_h_matrix(A)
 
     def test_identity_belongs_everywhere(self):
-        report = classify(SquareMatrix.identity(3))
+        report = classify(SquareMatrix(np.eye(3)))
         assert report.is_sdd and report.is_z and report.is_l
         assert report.is_m and report.is_h and report.is_spd
 
@@ -494,7 +494,7 @@ class TestClassify:
         a = np.diag(rng.uniform(0.0, 2.0, n)) - np.triu(b, 1) - np.triu(b, 1).T
         # shift the spectrum so the smallest eigenvalue is +-[0.1, 1]
         target = rng.uniform(0.1, 1.0) * (1.0 if definite else -1.0)
-        A = SquareMatrix.from_dense(a + (target - np.linalg.eigvalsh(a)[0]) * np.eye(n))
+        A = SquareMatrix(a + (target - np.linalg.eigvalsh(a)[0]) * np.eye(n))
         report = classify(A)
         assert report.is_spd == report.is_m == is_spd(A) == definite
 

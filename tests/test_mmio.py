@@ -13,7 +13,7 @@ def test_round_trip_general(tmp_path, lmat3):
 
 
 def test_indices_are_one_based_in_file(tmp_path):
-    A = SquareMatrix.from_dense([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    A = SquareMatrix([[0.0, 0.0, 2.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     path = tmp_path / "a.mtx"
     write_matrix(path, A)
     data_lines = [l for l in path.read_text().splitlines() if not l.startswith("%")]
@@ -74,7 +74,7 @@ def test_garbage_rejected(tmp_path):
         ("spd3.mtx", gallery.spd_3x3),
         ("lmat3.mtx", gallery.l_3x3),
         ("spd4.mtx", gallery.spd_4x4),
-        ("identity3.mtx", lambda: SquareMatrix.identity(3)),
+        ("identity3.mtx", lambda: SquareMatrix(np.eye(3))),
     ],
 )
 def test_shipped_fixture_files_match_gallery(name, factory, fixtures_dir):

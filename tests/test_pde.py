@@ -15,7 +15,7 @@ def test_smallest_square_system_is_fully_determined():
             [0.0, -1.0, -1.0, 4.0],
         ]
     )
-    assert np.array_equal(problem.A.to_dense(), want)
+    assert np.array_equal(problem.A.csr.toarray(), want)
     np.testing.assert_array_equal(problem.b, [2.0, 2.0, 2.0, 2.0])
     # two grid lines of two points: the blocks of the band
     np.testing.assert_array_equal(extract_splitting(problem.A, 1).blocks(), [0, 2, 4])
@@ -54,7 +54,7 @@ def test_assembled_matrix_exactly_symmetric(layout, g_id):
 def test_manufactured_solution(layout):
     problem = assemble(7, "expxy", layout=layout)
     np.testing.assert_array_equal(problem.b, problem.A.csr @ problem.x_exact)
-    direct = np.linalg.solve(problem.A.to_dense(), problem.b)
+    direct = np.linalg.solve(problem.A.csr.toarray(), problem.b)
     rel = np.linalg.norm(direct - problem.x_exact) / np.linalg.norm(problem.x_exact)
     assert rel <= 1e-10
 

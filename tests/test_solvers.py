@@ -58,7 +58,7 @@ class TestBuildStep:
         s = extract_splitting(spd3, 1)
         # GJ's M is the band; GGS's would also subtract spd3's nonzero corner
         np.testing.assert_array_equal(build_step(s, "GJ").m_part.toarray(),
-                                      s.band.to_dense())
+                                      s.band.csr.toarray())
         with pytest.raises(ValueError, match="unknown method"):
             build_step(s, "sor")
 
@@ -72,18 +72,18 @@ class TestBuildStep:
     @given(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
            st.integers(0, 2))
     def test_non_finite_omega_rejected(self, omega, m):
-        s = extract_splitting(SquareMatrix.from_dense(np.eye(3) * 4.0 - 1.0), m)
+        s = extract_splitting(SquareMatrix(np.eye(3) * 4.0 - 1.0), m)
         with pytest.raises(ValueError, match="finite"):
             build_step(s, "gsor", omega)
 
     @pytest.mark.parametrize("omega", [1e-320, -1e-320, 1e-307])
     def test_gsor_omega_whose_band_quotient_overflows_rejected(self, omega):
-        s = extract_splitting(SquareMatrix.from_dense(np.eye(3) * 40.0 - 1.0), 1)
+        s = extract_splitting(SquareMatrix(np.eye(3) * 40.0 - 1.0), 1)
         with pytest.raises(ValueError, match="band/omega overflows"):
             build_step(s, "gsor", omega)
 
     def test_singular_m_part_reports_method_and_bandwidth(self):
-        A = SquareMatrix.from_dense([[0.0, 1.0], [1.0, 1.0]])
+        A = SquareMatrix([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(FactorizationError, match=r"method=gj, m=0"):
             build_step(extract_splitting(A, 0), "gj")
 
@@ -91,7 +91,7 @@ class TestBuildStep:
         rng = np.random.default_rng(2)
         for _ in range(10):
             n = int(rng.integers(2, 8))
-            A = SquareMatrix.from_dense(random_strong_diag(rng, n))
+            A = SquareMatrix(random_strong_diag(rng, n))
             m = int(rng.integers(0, n))
             s = extract_splitting(A, m)
             gj = build_step(s, "gj")
@@ -104,7 +104,7 @@ class TestBuildStep:
             gsor = build_step(s, "gsor", omega)
             np.testing.assert_allclose(
                 (gsor.m_part - gsor.n_part).toarray(),
-                A.to_dense(),
+                A.csr.toarray(),
                 rtol=1e-14,
                 atol=1e-13,
             )
@@ -112,17 +112,17 @@ class TestBuildStep:
 
 class TestApplyStep:
     def test_identity_converges_in_one_application(self):
-        A = SquareMatrix.identity(4)
+        A = SquareMatrix(np.eye(4))
         op = build_step(extract_splitting(A, 0), "gj")
         b = np.ones(4)
         np.testing.assert_array_equal(op.step(np.zeros(4), b), b)
 
     def test_first_iterate_matches_direct_band_solve(self, spd3):
         # b chosen so the fixed point is the ones vector
-        b = spd3.to_dense() @ np.ones(3)
+        b = spd3.csr.toarray() @ np.ones(3)
         op = build_step(extract_splitting(spd3, 1), "gj")
         got = op.step(np.zeros(3), b)
-        oracle = np.linalg.solve(extract_splitting(spd3, 1).band.to_dense(), b)
+        oracle = np.linalg.solve(extract_splitting(spd3, 1).band.csr.toarray(), b)
         np.testing.assert_allclose(got, oracle, rtol=1e-13)
 
     def test_input_not_modified(self, lmat3):
@@ -146,7 +146,7 @@ class TestApplyStep:
         rng = np.random.default_rng(6)
         for g_id in ("xplusy", "zero", "expxy", "negexp4xy"):
             problem = assemble(6, g_id)
-            dense = problem.A.to_dense()
+            dense = problem.A.csr.toarray()
             b = rng.normal(size=problem.A.n)
             x_star = np.linalg.solve(dense, b)
             s = extract_splitting(problem.A, 1)
@@ -178,13 +178,13 @@ def test_gsor_step_is_the_papers_iteration(source, n, seed, omega, data):
     if source in LAYOUTS:
         A, m = assemble(n + 2, sorted(G_BUILTINS)[seed % 4], layout=source).A, seed % 3
     elif source == "tridiagonal":
-        A, m = SquareMatrix.from_dense(random_tridiagonal_m_matrix(rng, n)), 1
+        A, m = SquareMatrix(random_tridiagonal_m_matrix(rng, n)), 1
     else:
         generator = {"sdd": random_sdd_matrix, "m": random_m_matrix, "h": random_h_matrix}
         A = generator[source](n, rng)
         m = data.draw(st.integers(0, n - 1), label="m")
     s = extract_splitting(A, m)
-    band, lower, upper = s.band.to_dense(), s.lower.to_dense(), s.upper.to_dense()
+    band, lower, upper = s.band.csr.toarray(), s.lower.csr.toarray(), s.upper.csr.toarray()
     paper_m = band - omega * lower
     cond = np.linalg.cond(paper_m)
     assume(cond < 1e3)
@@ -193,7 +193,7 @@ def test_gsor_step_is_the_papers_iteration(source, n, seed, omega, data):
         assert isinstance(op.lu, TridiagonalLDLT)
     else:
         assert isinstance(op.lu, PermutedLU) == (m > 0 and s.lower.nnz > 0)
-    np.testing.assert_allclose((op.m_part - op.n_part).toarray(), A.to_dense(),
+    np.testing.assert_allclose((op.m_part - op.n_part).toarray(), A.csr.toarray(),
                                rtol=1e-14, atol=0)
     x, b = rng.standard_normal(A.n), rng.standard_normal(A.n)
     want = np.linalg.solve(paper_m, ((1.0 - omega) * band + omega * upper) @ x + omega * b)
@@ -203,21 +203,21 @@ def test_gsor_step_is_the_papers_iteration(source, n, seed, omega, data):
 class TestIterationMatrix:
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(8)
-        A = SquareMatrix.from_dense(random_strong_diag(rng, 6))
+        A = SquareMatrix(random_strong_diag(rng, 6))
         s = extract_splitting(A, 2)
         op = build_step(s, "ggs")
         oracle = np.linalg.solve(op.m_part.toarray(), op.n_part.toarray())
         np.testing.assert_allclose(iteration_matrix(op), oracle, atol=1e-13)
 
     def test_identity_gives_zero_matrix(self):
-        op = build_step(extract_splitting(SquareMatrix.identity(3), 0), "gj")
+        op = build_step(extract_splitting(SquareMatrix(np.eye(3)), 0), "gj")
         np.testing.assert_array_equal(iteration_matrix(op), np.zeros((3, 3)))
 
     def test_full_band_makes_gj_direct(self, spd3):
         s = extract_splitting(spd3, 2)
         op = build_step(s, "gj")
         assert np.max(np.abs(iteration_matrix(op))) == 0.0
-        b = spd3.to_dense() @ np.ones(3)
+        b = spd3.csr.toarray() @ np.ones(3)
         np.testing.assert_allclose(op.step(np.zeros(3), b), np.ones(3),
                                    rtol=1e-12)
 
@@ -232,7 +232,7 @@ class TestIterationMatrix:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             dense = random_strong_diag(rng, n)
-            A = SquareMatrix.from_dense(dense)
+            A = SquareMatrix(dense)
             s = extract_splitting(A, 0)
             omega = rng.uniform(0.2, 1.8)
             cases = [
@@ -251,7 +251,7 @@ class TestIterationMatrix:
         for omega in (2.0, 2.5, 3.0):
             for _ in range(5):
                 n = int(rng.integers(2, 8))
-                A = SquareMatrix.from_dense(random_strong_diag(rng, n))
+                A = SquareMatrix(random_strong_diag(rng, n))
                 op = build_step(extract_splitting(A, 0), "gsor", omega)
                 rho = spectral_radius(iteration_matrix(op))
                 assert rho >= abs(omega - 1.0) - 1e-12
@@ -274,7 +274,7 @@ def test_concurrent_apply_is_safe(method, m, omega, symmetric, factor):
         dense = dense + dense.T
         np.fill_diagonal(dense, 0.0)
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
-    op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), method, omega)
+    op = build_step(extract_splitting(SquareMatrix(dense), m), method, omega)
     assert isinstance(op.lu, factor)
     b = rng.normal(size=40)
     starts = [rng.normal(size=40) for _ in range(32)]
@@ -309,7 +309,7 @@ class TestTridiagonalFactor:
         dense_m = random_spd_tridiagonal(rng, n)
         # entries outside the band go to N and leave M as it is
         far = np.triu(rng.uniform(-0.1, 0.1, size=(n, n)), 2)
-        op = build_step(extract_splitting(SquareMatrix.from_dense(dense_m + far + far.T), 1), "gj")
+        op = build_step(extract_splitting(SquareMatrix(dense_m + far + far.T), 1), "gj")
         assert isinstance(op.lu, TridiagonalLDLT)
         cond = np.linalg.cond(dense_m)
         v = rng.standard_normal(n)
@@ -331,7 +331,7 @@ class TestTridiagonalFactor:
     def test_refusals_fall_back_to_superlu(self, dense):
         dense = np.array(dense)
         m = min(1, dense.shape[0] - 1)
-        op = build_step(extract_splitting(SquareMatrix.from_dense(dense), m), "gj")
+        op = build_step(extract_splitting(SquareMatrix(dense), m), "gj")
         assert isinstance(op.lu, SuperLU)
         v = np.arange(1.0, dense.shape[0] + 1)
         np.testing.assert_allclose(op.solve_m(v), np.linalg.solve(dense, v), rtol=1e-14)
@@ -340,7 +340,7 @@ class TestTridiagonalFactor:
     def test_singular_symmetric_tridiagonal_m(self, method):
         dense = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
                           [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
-        s = extract_splitting(SquareMatrix.from_dense(dense), 1)
+        s = extract_splitting(SquareMatrix(dense), 1)
         with pytest.raises(FactorizationError, match=rf"method={method}, m=1"):
             build_step(s, method)
 
@@ -411,6 +411,27 @@ class TestOrdering:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             assert_nested(perm[lo:hi], lo, hi, width)
 
+    @pytest.mark.parametrize("length, width, want", [
+        (10, 1, [0, 2, 3, 1, 5, 6, 8, 9, 7, 4]),
+        (17, 2, [0, 1, 4, 5, 6, 2, 3, 9, 10, 11, 14, 15, 16, 12, 13, 7, 8]),
+    ])
+    def test_dissection_order_of_one_block(self, length, width, want):
+        offsets = list(range(-width, width + 1))
+        A = SquareMatrix(sp.diags_array([2.0 * width + 1.0 if k == 0 else -1.0 for k in offsets],
+                                        offsets=offsets, shape=(length, length)))
+        s = extract_splitting(A, width)
+        np.testing.assert_array_equal(s.blocks(), [0, length])
+        np.testing.assert_array_equal(_dissection_order(s), want)
+
+    def test_two_point_blocks_keep_natural_order(self):
+        n = 40
+        pairs = sp.diags_array([np.tile([-1.0, 0.0], n // 2)[:-1]], offsets=[1], shape=(n, n))
+        A = SquareMatrix(4.0 * sp.eye_array(n) + pairs + pairs.T - sp.eye_array(n, k=-2))
+        s = extract_splitting(A, 1)
+        assert s.lower.nnz > 0
+        np.testing.assert_array_equal(s.blocks(), np.arange(0, n + 1, 2))
+        np.testing.assert_array_equal(_dissection_order(s), np.arange(n))
+
     @pytest.mark.parametrize("method, omega", [("ggs", None), ("gsor", 1.5)])
     def test_iteration_matrix_matches_dense(self, method, omega):
         A = assemble(20, "negexp4xy", layout=LAYOUT_BENCH).A  # order 380
@@ -464,7 +485,7 @@ class TestOrdering:
         A = generator(n, rng)
         m = data.draw(st.integers(0, n - 1), label="m")
         s = extract_splitting(A, m)
-        band, lower = s.band.to_dense(), s.lower.to_dense()
+        band, lower = s.band.csr.toarray(), s.lower.csr.toarray()
         dense_m = {"gj": band, "ggs": band - lower, "gsor": band / omega - lower}[method]
         cond = np.linalg.cond(dense_m)
         assume(cond < 1e10)
