@@ -167,7 +167,6 @@ def _cmd_table(args, out) -> int:
     markdown = args.format == "markdown"
     plans = [_method_plan(column, args.m, args.omega, tol=args.tol, max_iter=args.max_iter)
              for column in TABLE_COLUMNS]
-    all_converged = True
     rows = []
     for number in numbers:
         g_id = TABLE_G[number]
@@ -177,7 +176,6 @@ def _cmd_table(args, out) -> int:
             shown = []
             for column, config in plans:
                 report = solve(problem.A, problem.b, config, x_exact=problem.x_exact)
-                all_converged = all_converged and report.converged
                 shown.append(f"{report.iterations}({report.elapsed_seconds:.2f})")
                 rows.append((number, g_id, n, column, config.m, config.omega,
                              report.iterations, report.elapsed_seconds, report.converged))
@@ -190,7 +188,7 @@ def _cmd_table(args, out) -> int:
             print("", file=out)
     if not markdown:
         _emit_records(TABLE_FIELDS, rows, args.format, out)
-    return 0 if all_converged else 1
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 # -- classify / rho / export ----------------------------------------------

@@ -127,19 +127,15 @@ def solve(
     setup = time.perf_counter() - setup_start
 
     note = ""
-    diff = np.inf
-    first_diff: float | None = None
-    iterations = 0
-
     start = time.perf_counter()
+    # max_iter >= 1, so the loop runs and leaves k, diff and first_diff bound.
     for k in range(1, config.max_iter + 1):
         x_next = op.step(x, b)
         d = x_next - x
         # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
         diff = math.sqrt(d @ d)
         x = x_next
-        iterations = k
-        if first_diff is None:
+        if k == 1:
             first_diff = diff
         if diff <= config.tol:
             break
@@ -152,7 +148,7 @@ def solve(
 
     err = None if x_exact is None else float(np.linalg.norm(x - x_exact))
     return SolveReport(
-        iterations=iterations,
+        iterations=k,
         final_diff_norm=diff,
         final_error_norm=err,
         elapsed_seconds=elapsed,

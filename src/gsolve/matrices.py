@@ -106,10 +106,6 @@ class BandedSplitting:
     lower: SquareMatrix
     upper: SquareMatrix
 
-    @property
-    def n(self) -> int:
-        return self.band.n
-
     def blocks(self) -> np.ndarray:
         """Bounds of the diagonal blocks of the band: block k is [b[k], b[k+1]).
 
@@ -118,12 +114,13 @@ class BandedSplitting:
         On both PDE grid layouts they are the grid lines at every m >= 1, and
         single points at m = 0.
         """
+        n = self.band.n
         coo = self.band.csr.tocoo()
         lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
         # cover[i] counts the band entries that span the gap between i and i + 1
-        cover = np.cumsum(np.bincount(lo, minlength=self.n) - np.bincount(hi, minlength=self.n))
+        cover = np.cumsum(np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n))
         cuts = np.flatnonzero(cover[:-1] == 0) + 1
-        return np.concatenate(([0], cuts, [self.n]))
+        return np.concatenate(([0], cuts, [n]))
 
 
 def require_integer(name: str, value) -> int:
@@ -173,18 +170,12 @@ def comparison_matrix(A: SquareMatrix) -> SquareMatrix:
 # -- class predicates --------------------------------------------------
 
 
-def _offdiag_abs_rowsums(A: SquareMatrix) -> np.ndarray:
-    coo = A.csr.tocoo()
-    off = coo.row != coo.col
-    sums = np.zeros(A.n)
-    np.add.at(sums, coo.row[off], np.abs(coo.data[off]))
-    return sums
-
-
 def is_sdd(A: SquareMatrix) -> bool:
     """Strict row diagonal dominance: |a_ii| > sum of |a_ij|, j != i."""
-    diag = np.abs(A.csr.diagonal())
-    return bool(np.all(diag > _offdiag_abs_rowsums(A)))
+    coo = A.csr.tocoo()
+    off = coo.row != coo.col
+    offdiag = np.bincount(coo.row[off], weights=np.abs(coo.data[off]), minlength=A.n)
+    return bool(np.all(np.abs(A.csr.diagonal()) > offdiag))
 
 
 def is_z_matrix(A: SquareMatrix) -> bool:

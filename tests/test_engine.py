@@ -257,6 +257,10 @@ class TestSolve:
         assert (report.converged, report.iterations, report.note) == (False, 5, "max_iter")
         report = solve(problem.A, problem.b, IterationConfig("gj", m=1))
         assert report.converged and report.note == ""
+        report = solve(problem.A, problem.b, IterationConfig("gj", m=1, max_iter=1))
+        assert (report.converged, report.iterations, report.note) == (False, 1, "max_iter")
+        report = solve(problem.A, np.zeros(problem.A.n), IterationConfig("gj", m=1))
+        assert (report.converged, report.iterations, report.final_diff_norm) == (True, 1, 0.0)
 
     def test_setup_and_loop_times_fit_in_the_wall_time(self):
         problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)

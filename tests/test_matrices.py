@@ -240,11 +240,24 @@ class TestComparisonMatrix:
         assert comparison_matrix(Z).same_entries(Z)
 
 
+def _offdiag_row_sums(A: SquareMatrix) -> np.ndarray:
+    """Each row's |off-diagonal| sum, added one CSR entry at a time in column order."""
+    csr = A.csr
+    sums = np.zeros(A.n)
+    for i in range(A.n):
+        for k in range(csr.indptr[i], csr.indptr[i + 1]):
+            if csr.indices[k] != i:
+                sums[i] += abs(csr.data[k])
+    return sums
+
+
 class TestPredicates:
     def test_sdd_hand_examples(self, lmat3):
         assert is_sdd(SquareMatrix([[3.0, 1.0, 1.0], [0.0, 2.0, -1.0], [1.0, 0.0, 5.0]]))
         assert not is_sdd(lmat3)  # row 1: 1 < 6
         assert not is_sdd(SquareMatrix(np.zeros((3, 3))))
+        # row 0 is only weakly dominant: |a_00| = 2 equals its off-diagonal sum
+        assert not is_sdd(SquareMatrix([[2.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]]))
 
     def test_l_matrix(self, lmat3, spd3):
         assert is_l_matrix(lmat3)
@@ -354,8 +367,13 @@ class TestPredicates:
             np.fill_diagonal(a, 0.0)
             np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n))
             A = SquareMatrix(a)
+            offdiag = _offdiag_row_sums(A)
+            assert is_sdd(A) == bool(np.all(np.abs(A.csr.diagonal()) > offdiag))
             assert is_sdd(A)
             assert is_h_matrix(A)
+            # equality on one row, to the last bit of the column-order sum
+            a[0, 0] = offdiag[0]
+            assert not is_sdd(SquareMatrix(a))
 
     def test_spd_fixtures(self, spd3, spd4):
         assert is_spd(spd3)
