@@ -19,7 +19,6 @@ from .matrices import (
     comparison_matrix,
     extract_splitting,
     is_h_matrix,
-    is_l_matrix,
     is_m_matrix,
     is_sdd,
     is_spd,
@@ -60,7 +59,6 @@ __all__ = [
     "comparison_matrix",
     "extract_splitting",
     "is_h_matrix",
-    "is_l_matrix",
     "is_m_matrix",
     "is_sdd",
     "is_spd",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -74,10 +75,7 @@ def _load_source(args) -> tuple[str, SquareMatrix, np.ndarray, np.ndarray]:
         ones = np.ones(A.n)
         return str(args.mtx), A, A.csr @ ones, ones
     g_id, n, layout = _parse_pde_tokens(args.pde)
-    try:
-        problem = assemble(n, g_id, layout=layout)
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    problem = assemble(n, g_id, layout=layout)
     return f"pde:g={g_id}:n={n}:layout={layout}", problem.A, problem.b, problem.x_exact
 
 
@@ -347,7 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, sys.stdout)
+        status = args.handler(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # exit as a writer killed by SIGPIPE, and let the interpreter's last flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, ValueError, FactorizationError, OSError) as err:
         print(f"gsolve: {err}", file=sys.stderr)
         return 2

@@ -16,9 +16,9 @@ from scipy.sparse.linalg import SuperLU, splu
 
 #: Fixed largest order for an explicit iteration matrix (``iteration_matrix``,
 #: the CLI's dense ``rho``, which needs ``--power`` above it).  ``classify``
-#: also reports SPD as undetermined above it, although its SPD test costs no
-#: more than the LU ``certify_m`` already makes: the benchmark's recorded
-#: verdicts at order 22 350 (``perfbench/workloads.py``) pin that output.
+#: also reports SPD as undetermined above it, although a certified M-matrix
+#: needs only the symmetry scan: the benchmark's recorded verdicts at order
+#: 22 350 (``perfbench/workloads.py``) pin that output.
 DEFAULT_DENSE_LIMIT = 2000
 
 #: SuperLU panel width (columns factorized together) for every sparse LU in
@@ -185,11 +185,6 @@ def is_z_matrix(A: SquareMatrix) -> bool:
     return bool(np.all(coo.data[off] <= 0.0))
 
 
-def is_l_matrix(A: SquareMatrix) -> bool:
-    """Strictly positive diagonal and nonpositive off-diagonal."""
-    return is_z_matrix(A) and bool(np.all(A.csr.diagonal() > 0.0))
-
-
 def _unpivoted_lu(A: SquareMatrix) -> SuperLU | None:
     """Sparse LU of A without row pivoting; None when A is exactly singular.
 
@@ -205,12 +200,6 @@ def _unpivoted_lu(A: SquareMatrix) -> SuperLU | None:
                     diag_pivot_thresh=0.0, panel_size=SPLU_PANEL_SIZE)
     except RuntimeError:
         return None
-
-
-def _positive_pivots(lu: SuperLU | None) -> bool:
-    """An elimination that swapped no row and met only positive pivots."""
-    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
-            and bool(np.all(lu.U.diagonal() > 0.0)))
 
 
 class MCertificate(NamedTuple):
@@ -229,8 +218,8 @@ def certify_m(A: SquareMatrix) -> MCertificate:
     positive (see :func:`positive_witness`) is equivalent to A being a
     nonsingular M-matrix, and (x, Ax = e) is then a storable witness pair;
     the witness is scaled to unit max-norm.  A certified A keeps its SuperLU
-    factor in the certificate, which the SPD test and the regular-splitting
-    radius reuse; any other A gets (None, None, the reason).
+    factor in the certificate, which the regular-splitting radius reuses; any
+    other A gets (None, None, the reason).
 
     A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
     meets only positive pivots, and on an M-matrix that elimination is
@@ -295,7 +284,9 @@ def is_spd(A: SquareMatrix) -> bool:
     equality of stored entries, not tolerance-based; nearly-symmetric inputs
     are rejected on purpose.
     """
-    return A.is_symmetric() and _positive_pivots(_unpivoted_lu(A))
+    lu = _unpivoted_lu(A) if A.is_symmetric() else None
+    return (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+            and bool(np.all(lu.U.diagonal() > 0.0)))
 
 
 @dataclass(frozen=True)
@@ -329,20 +320,21 @@ class ClassificationReport:
 def classify(A: SquareMatrix) -> ClassificationReport:
     """Run every class predicate and collect certificates and notes.
 
-    The SPD test runs up to order ``DEFAULT_DENSE_LIMIT`` and reads the
-    pivots of ``certify_m``'s factor of A when there is one.
+    SPD is decided up to order ``DEFAULT_DENSE_LIMIT``: a certified M-matrix
+    is SPD iff it is symmetric (Berman & Plemmons, ch. 6), any other A by :func:`is_spd`.
     """
     m = certify_m(A)
     z = is_z_matrix(A)
+    diag = A.csr.diagonal()
     # a Z-matrix with nonnegative diagonal is its own comparison matrix
-    h = (m if z and np.all(A.csr.diagonal() >= 0.0)
+    h = (m if z and np.all(diag >= 0.0)
          else certify_m(comparison_matrix(A))._replace(lu=None))
     notes = [f"{name}: {c.note}" for name, c in (("m", m), ("h (comparison matrix)", h))
              if c.note]
 
     spd: bool | None = None
     if A.n <= DEFAULT_DENSE_LIMIT:
-        spd = A.is_symmetric() and _positive_pivots(m.lu or _unpivoted_lu(A))
+        spd = A.is_symmetric() if m.witness is not None else is_spd(A)
     else:
         notes.append(
             f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
@@ -355,7 +347,7 @@ def classify(A: SquareMatrix) -> ClassificationReport:
     return ClassificationReport(
         is_sdd=sdd,
         is_z=z,
-        is_l=is_l_matrix(A),
+        is_l=z and bool(np.all(diag > 0.0)),
         is_spd=spd,
         m=m,
         h=h,

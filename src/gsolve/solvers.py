@@ -42,8 +42,6 @@ class Method(str, Enum):
 
     @classmethod
     def parse(cls, name: "Method | str") -> "Method":
-        if isinstance(name, Method):
-            return name
         try:
             return cls(name.lower())
         except ValueError:

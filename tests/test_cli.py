@@ -274,6 +274,15 @@ class TestTable:
         cell = next(r for r in rows if r["n"] == "20" and r["method"] == "gsor")
         assert int(cell["iterations"]) == 104
 
+    def test_square_layout_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "2", "--layout", "square", "--format", "csv")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 12
+        assert all(row["converged"] == "true" for row in rows)
+        cell = next(r for r in rows if r["n"] == "20" and r["method"] == "gj")
+        assert int(cell["iterations"]) == 679  # the bench layout takes 652
+
     def test_seconds_are_written_unrounded(self, capsys):
         code, out, _ = run_cli(capsys, "table", "3", "--format", "csv")
         assert code == 0
@@ -663,17 +672,39 @@ def test_main_leaves_the_warning_filters_as_it_found_them(capsys, fixtures_dir):
     assert warnings.filters == before
 
 
+def _console_env() -> dict:
+    """The environment with the package's source directory on PYTHONPATH."""
+    src = str(Path(gsolve.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--pde", "g=zero", "n=10", "--method", "sor,gsor", "--m", "1", "--omega", "1.5"],
     ["table", "2", "--format", "csv"],
 ], ids=["run-overrelaxed", "table-2"])
 def test_console_run_writes_nothing_to_stderr(argv):
     # A fresh interpreter with Python's default warning filters, as a shell user gets.
-    src = str(Path(gsolve.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _console_env()
     done = subprocess.run([sys.executable, "-W", "default", "-m", "gsolve.cli", *argv],
                           capture_output=True, text=True, env=env, check=False)
     assert done.returncode == 0
     assert done.stdout
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # The reader closes the pipe before the first write.  Unbuffered, a write in
+    # the handler fails; buffered, main's final flush does.
+    env = _console_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "gsolve.cli", "table", "2", "--format", "csv"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 141
+    assert err == ""  # no traceback, no "[Errno 32] Broken pipe"

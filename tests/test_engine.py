@@ -116,6 +116,7 @@ class TestIterationConfig:
 
     def test_method_normalized(self):
         assert IterationConfig("GGS", m=0).method is Method.GGS
+        assert all(Method.parse(method) is method for method in Method)
 
     @pytest.mark.parametrize("field, value, message", [
         ("max_iter", 10.5, "max_iter=10.5 is not an integer"),

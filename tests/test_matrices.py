@@ -17,7 +17,6 @@ from gsolve import (
     comparison_matrix,
     extract_splitting,
     is_h_matrix,
-    is_l_matrix,
     is_m_matrix,
     is_sdd,
     is_spd,
@@ -25,7 +24,7 @@ from gsolve import (
     solve,
 )
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
-from gsolve.matrices import certify_m, positive_witness
+from gsolve.matrices import MCertificate, certify_m, positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
@@ -260,9 +259,15 @@ class TestPredicates:
         assert not is_sdd(SquareMatrix([[2.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]]))
 
     def test_l_matrix(self, lmat3, spd3):
-        assert is_l_matrix(lmat3)
-        assert is_l_matrix(SquareMatrix(np.eye(4)))
-        assert not is_l_matrix(spd3)  # positive off-diagonal entry
+        assert classify(lmat3).is_l
+        assert classify(SquareMatrix(np.eye(4))).is_l
+        assert not classify(spd3).is_l  # positive off-diagonal entry
+
+    @pytest.mark.parametrize("corner", [0.0, -1.0], ids=["zero", "negative"])
+    def test_l_matrix_needs_a_positive_diagonal(self, corner):
+        A = SquareMatrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, corner]])
+        report = classify(A)
+        assert report.is_z and not report.is_l
 
     def test_z_matrix(self, lmat3, spd3):
         assert is_z_matrix(lmat3)
@@ -537,6 +542,41 @@ class TestClassify:
             report = classify(A)
         assert report.is_m and report.is_h and report.is_spd
         assert spy.call_count == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_spd_of_a_symmetric_m_matrix_comes_from_its_certificate(self, n, seed, definite):
+        # s*I - S with S = (B + B^T)/2 >= 0 has smallest eigenvalue s - rho(S):
+        # an M-matrix, hence SPD, above rho(S); below it the certificate fails
+        # and the verdict comes from is_spd's pivots.
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, size=(n, n))
+        sym = (b + b.T) / 2.0
+        rho = np.linalg.eigvalsh(sym)[-1]
+        shift = rng.uniform(1.05, 2.0) if definite else rng.uniform(0.3, 0.95)
+        A = SquareMatrix(shift * rho * np.eye(n) - sym)
+        with mock.patch.object(gsolve.matrices, "is_spd", wraps=is_spd) as spy:
+            report = classify(A)
+        assert spy.called != definite
+        assert report.is_m == definite
+        oracle = bool(np.linalg.eigvalsh(A.csr.toarray()).min() > 0.0)
+        assert report.is_spd == is_spd(A) == oracle == definite
+
+    def test_sdd_matrix_failing_h_certification_is_noted(self, monkeypatch):
+        A = SquareMatrix([[3.0, 1.0], [1.0, 3.0]])  # SDD, not a Z-matrix
+        note = "cross-check violated: SDD matrix failed H certification"
+        assert note not in classify(A).notes
+        comparison = comparison_matrix(A)
+
+        def failing(B):
+            if B.same_entries(comparison):
+                return MCertificate(None, None, "forced failure")
+            return certify_m(B)
+
+        monkeypatch.setattr(gsolve.matrices, "certify_m", failing)
+        report = classify(A)
+        assert report.is_sdd and not report.is_h
+        assert note in report.notes
 
     def test_spd_undetermined_above_dense_limit(self):
         A = assemble(46, "zero", layout=LAYOUT_BENCH).A  # order 2070
