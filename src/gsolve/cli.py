@@ -29,10 +29,6 @@ TABLE_SIZES = (20, 30, 40)
 TABLE_COLUMNS = ("gj", "ggs", "sor", "gsor")
 
 
-class CliError(Exception):
-    """User-facing failure: bad source, bad parameters, unreadable file."""
-
-
 def _fmt(value) -> str:
     """Round-trippable text for a CSV/markdown cell."""
     if value is None:
@@ -49,19 +45,19 @@ def _parse_pde_tokens(tokens: list[str]):
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
-            raise CliError(f"--pde expects key=value tokens, got {token!r}")
+            raise ValueError(f"--pde expects key=value tokens, got {token!r}")
         if key in params:
-            raise CliError(f"--pde got key {key!r} twice")
+            raise ValueError(f"--pde got key {key!r} twice")
         params[key] = value
     unknown = set(params) - {"g", "n", "layout"}
     if unknown:
-        raise CliError(f"--pde got unknown keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"--pde got unknown keys: {', '.join(sorted(unknown))}")
     if "g" not in params or "n" not in params:
-        raise CliError("--pde needs g=<name> and n=<size>")
+        raise ValueError("--pde needs g=<name> and n=<size>")
     try:
         n = int(params["n"])
     except ValueError:
-        raise CliError(f"--pde n must be an integer, got {params['n']!r}") from None
+        raise ValueError(f"--pde n must be an integer, got {params['n']!r}") from None
     return params["g"], n, params.get("layout", LAYOUT_BENCH)
 
 
@@ -71,7 +67,7 @@ def _load_source(args) -> tuple[str, SquareMatrix, np.ndarray, np.ndarray]:
         try:
             A = read_matrix(args.mtx)
         except Exception as err:
-            raise CliError(f"cannot read {args.mtx}: {err}") from err
+            raise ValueError(f"cannot read {args.mtx}: {err}") from err
         ones = np.ones(A.n)
         return str(args.mtx), A, A.csr @ ones, ones
     g_id, n, layout = _parse_pde_tokens(args.pde)
@@ -93,8 +89,10 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
 def _method_plan(token: str, m: int, omega: float | None, **stopping):
     """Map a CLI method token to (label, config); ``sor`` is GSOR pinned at m = 0."""
     label = token.strip().lower()
+    if label not in TABLE_COLUMNS:
+        raise ValueError(f"unknown method {label!r}; expected one of {', '.join(TABLE_COLUMNS)}")
     if label in ("sor", "gsor") and omega is None:
-        raise CliError(f"method {label} needs --omega")
+        raise ValueError(f"method {label} needs --omega")
     sor = label == "sor"
     return label, IterationConfig("gsor" if sor else label, 0 if sor else m, omega, **stopping)
 
@@ -198,7 +196,7 @@ def _tristate(value: bool | None) -> str:
 
 def _cmd_classify(args, out) -> int:
     if args.predict:
-        _, config = _method_plan(args.predict, args.m, args.omega)
+        label, config = _method_plan(args.predict, args.m, args.omega)
     source, A, _, _ = _load_source(args)
     report = classify(A)
     verdict = predict(A, config, report=report) if args.predict else None
@@ -213,7 +211,7 @@ def _cmd_classify(args, out) -> int:
     for note in report.notes:
         print(f"note: {note}", file=out)
     if verdict is not None:
-        print(f"predict: method={args.predict} m={config.m} omega={_fmt(config.omega)}",
+        print(f"predict: method={label} m={config.m} omega={_fmt(config.omega)}",
               file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
         print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)
@@ -226,10 +224,10 @@ def _cmd_classify(args, out) -> int:
 def _cmd_rho(args, out) -> int:
     _, config = _method_plan(args.method, args.m, args.omega)
     if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     _, A, _, _ = _load_source(args)
     if not args.power and A.n > DEFAULT_DENSE_LIMIT:
-        raise CliError(
+        raise ValueError(
             f"order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}; rerun with --power"
         )
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
@@ -352,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         # exit as a writer killed by SIGPIPE, and let the interpreter's last flush go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (CliError, ValueError, FactorizationError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"gsolve: {err}", file=sys.stderr)
         return 2
 

@@ -71,17 +71,6 @@ class SquareMatrix:
     def nnz(self) -> int:
         return int(self.csr.nnz)
 
-    def same_entries(self, other: "SquareMatrix") -> bool:
-        """Exact equality of stored values (bitwise, no tolerance)."""
-        if self.n != other.n:
-            return False
-        a, b = self.csr, other.csr
-        return (
-            np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-        )
-
     def is_symmetric(self) -> bool:
         """Exact symmetry of stored entries, without tolerance."""
         return (self.csr != self.csr.T).nnz == 0

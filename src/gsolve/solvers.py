@@ -62,8 +62,8 @@ def relaxation_factor(method: Method, omega: float | None) -> float | None:
     return omega
 
 
-class FactorizationError(RuntimeError):
-    """The M part of a splitting could not be factorized (singular)."""
+class FactorizationError(ValueError):
+    """The M part of a splitting is singular, a property of the input like any ValueError."""
 
 
 class TridiagonalLDLT:

@@ -84,16 +84,16 @@ class TestSquareMatrix:
     def test_constructor_takes_any_square_array(self):
         A = SquareMatrix(np.eye(3))
         assert A.n == 3
-        assert A.same_entries(SquareMatrix(sp.eye_array(3)))
+        assert (A.csr != SquareMatrix(sp.eye_array(3)).csr).nnz == 0
         # (0, 0) appears twice and (1, 0) is stored as an explicit zero
         coo = sp.coo_array(([1.0, 2.0, 0.0, 4.0], ([0, 0, 1, 1], [0, 0, 0, 1])), shape=(2, 2))
-        assert SquareMatrix(coo).same_entries(SquareMatrix([[3.0, 0.0], [0.0, 4.0]]))
+        assert (SquareMatrix(coo).csr != SquareMatrix([[3.0, 0.0], [0.0, 4.0]]).csr).nnz == 0
 
     def test_constructor_keeps_no_reference_to_its_argument(self):
         csr = sp.csr_array(np.eye(2))
         A = SquareMatrix(csr)
         csr.data[:] = 7.0
-        assert A.same_entries(SquareMatrix(np.eye(2)))
+        assert (A.csr != SquareMatrix(np.eye(2)).csr).nnz == 0
 
     def test_order_zero_rejected_by_every_constructor(self):
         for build in (
@@ -107,9 +107,6 @@ class TestSquareMatrix:
     def test_same_entries_and_transpose(self):
         A = SquareMatrix([[1.0, 2.0], [0.0, 3.0]])
         transpose = SquareMatrix(A.csr.T)
-        assert A.same_entries(A)
-        assert not A.same_entries(transpose)
-        assert not A.same_entries(SquareMatrix(np.eye(3)))
         assert transpose.csr[0, 1] == 0.0
         assert transpose.csr[1, 0] == 2.0
 
@@ -126,12 +123,12 @@ class TestExtractSplitting:
         band = np.array([[410.0, -195.0, 0.0], [-195.0, 151.0, 112.0], [0.0, 112.0, 132.0]])
         assert np.array_equal(s.band.csr.toarray(), band)
         assert np.array_equal(s.lower.csr.toarray(), [[0.0] * 3, [0.0] * 3, [90.0, 0.0, 0.0]])
-        assert s.upper.same_entries(SquareMatrix(s.lower.csr.T))
-        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(spd3)
+        assert (s.upper.csr != SquareMatrix(s.lower.csr.T).csr).nnz == 0
+        assert (SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).csr != spd3.csr).nnz == 0
 
     def test_full_band_is_whole_matrix(self, lmat3):
         s = extract_splitting(lmat3, 2)
-        assert s.band.same_entries(lmat3)
+        assert (s.band.csr != lmat3.csr).nnz == 0
         assert s.lower.nnz == 0
         assert s.upper.nnz == 0
 
@@ -152,7 +149,7 @@ class TestExtractSplitting:
         assert np.array_equal(s.band.csr.toarray(), np.where(np.abs(i - j) <= 2, dense, 0.0))
         assert np.array_equal(s.lower.csr.toarray(), np.where(i - j > 2, -dense, 0.0))
         assert np.array_equal(s.upper.csr.toarray(), np.where(j - i > 2, -dense, 0.0))
-        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(A)
+        assert (SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).csr != A.csr).nnz == 0
 
     def test_bandwidth_out_of_range(self, spd3):
         with pytest.raises(ValueError):
@@ -166,14 +163,15 @@ class TestExtractSplitting:
         b = spd3.csr @ np.ones(3)
         with pytest.raises(ValueError, match="m=1.5 is not an integer"):
             solve(spd3, b, IterationConfig("gj", m=1.5))
-        assert extract_splitting(spd3, 1.0).band.same_entries(extract_splitting(spd3, 1).band)
+        whole = extract_splitting(spd3, 1).band.csr
+        assert (extract_splitting(spd3, 1.0).band.csr != whole).nnz == 0
 
     @settings(max_examples=60)
     @given(matrix_and_bandwidth())
     def test_reconstruction_and_band_structure(self, case):
         A, m = case
         s = extract_splitting(A, m)
-        assert SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).same_entries(A)
+        assert (SquareMatrix(s.band.csr - s.lower.csr - s.upper.csr).csr != A.csr).nnz == 0
         band, lower, upper = (p.csr.tocoo() for p in (s.band, s.lower, s.upper))
         assert np.all(np.abs(band.row - band.col) <= m)
         assert np.all(lower.row > lower.col + m)
@@ -212,7 +210,7 @@ class TestBandBlocks:
 
 class TestComparisonMatrix:
     def test_z_matrix_is_fixed_point(self, lmat3):
-        assert comparison_matrix(lmat3).same_entries(lmat3)
+        assert (comparison_matrix(lmat3).csr != lmat3.csr).nnz == 0
 
     def test_small_example(self):
         A = SquareMatrix([[4.0, 2.0], [-1.0, 3.0]])
@@ -226,7 +224,7 @@ class TestComparisonMatrix:
             n = rng.integers(2, 9)
             A = SquareMatrix(rng.uniform(-3, 3, size=(n, n)))
             once = comparison_matrix(A)
-            assert comparison_matrix(once).same_entries(once)
+            assert (comparison_matrix(once).csr != once.csr).nnz == 0
 
     @settings(max_examples=40)
     @given(matrix_and_bandwidth())
@@ -236,7 +234,7 @@ class TestComparisonMatrix:
         z_form = -np.abs(dense)
         np.fill_diagonal(z_form, np.abs(np.diag(dense)))
         Z = SquareMatrix(z_form)
-        assert comparison_matrix(Z).same_entries(Z)
+        assert (comparison_matrix(Z).csr != Z.csr).nnz == 0
 
 
 def _offdiag_row_sums(A: SquareMatrix) -> np.ndarray:
@@ -569,7 +567,7 @@ class TestClassify:
         comparison = comparison_matrix(A)
 
         def failing(B):
-            if B.same_entries(comparison):
+            if (B.csr != comparison.csr).nnz == 0:
                 return MCertificate(None, None, "forced failure")
             return certify_m(B)
 

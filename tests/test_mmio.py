@@ -9,7 +9,7 @@ def test_round_trip_general(tmp_path, lmat3):
     path = tmp_path / "l.mtx"
     write_matrix(path, lmat3)
     back = read_matrix(path)
-    assert back.same_entries(lmat3)
+    assert (back.csr != lmat3.csr).nnz == 0
 
 
 def test_indices_are_one_based_in_file(tmp_path):
@@ -78,7 +78,7 @@ def test_garbage_rejected(tmp_path):
     ],
 )
 def test_shipped_fixture_files_match_gallery(name, factory, fixtures_dir):
-    assert read_matrix(fixtures_dir / name).same_entries(factory())
+    assert (read_matrix(fixtures_dir / name).csr != factory().csr).nnz == 0
 
 
 def test_unwritable_path_raises(tmp_path, lmat3):

@@ -97,8 +97,8 @@ class TestBuildStep:
             gj = build_step(s, "gj")
             ggs = build_step(s, "ggs")
             # M - N recovers A exactly for GJ/GGS
-            assert SquareMatrix(gj.m_part - gj.n_part).same_entries(A)
-            assert SquareMatrix(ggs.m_part - ggs.n_part).same_entries(A)
+            assert (SquareMatrix(gj.m_part - gj.n_part).csr != A.csr).nnz == 0
+            assert (SquareMatrix(ggs.m_part - ggs.n_part).csr != A.csr).nnz == 0
             # and for GSOR at assembly precision
             omega = rng.uniform(0.1, 1.0)
             gsor = build_step(s, "gsor", omega)
