@@ -128,13 +128,15 @@ def solve(
 
     note = ""
     start = time.perf_counter()
+    # The loop's own buffers; after each step t takes over the previous iterate's array.
+    t, work, d = np.empty(A.n), np.empty(A.n), np.empty(A.n)
     # max_iter >= 1, so the loop runs and leaves k, diff and first_diff bound.
     for k in range(1, config.max_iter + 1):
-        x_next = op.step(x, b)
-        d = x_next - x
+        x_next = op._step_into(x, b, t, work)
+        np.subtract(x_next, x, out=d)
         # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
-        diff = math.sqrt(d @ d)
-        x = x_next
+        diff = math.sqrt(d.dot(d))
+        x, t = x_next, x
         if k == 1:
             first_diff = diff
         if diff <= config.tol:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,10 +126,11 @@ def _dissection_order(splitting: BandedSplitting) -> np.ndarray:
     of a PDE grid, share one recursion.
     """
     bounds = splitting.blocks()
-    coo = splitting.band.csr.tocoo()
-    width = np.zeros(bounds.size - 1, dtype=np.intp)
-    np.maximum.at(width, np.searchsorted(bounds, coo.row, side="right") - 1,
-                  np.abs(coo.row - coo.col))
+    band = splitting.band.csr
+    reach = np.abs(band.indices - np.repeat(np.arange(band.shape[0]), np.diff(band.indptr)))
+    # CSR lists entries row by row, one run per block.  A block without band entries is a
+    # single index, ordered alike at any width; the appended 0 keeps its run start in range.
+    width = np.maximum.reduceat(np.append(reach, 0), band.indptr[bounds[:-1]])
 
     @cache
     def order(length: int, w: int) -> np.ndarray:
@@ -163,27 +164,54 @@ def _spd_tridiagonal_factor(m_part: sp.csr_array) -> TridiagonalLDLT | None:
 class StepOperator:
     """Prepared single-step update for one (method, splitting, omega) triple.
 
-    ``lu`` is the factor of M: :class:`TridiagonalLDLT`, :class:`PermutedLU`
-    or SuperLU (see :func:`build_step`).  The order ``n`` is derived from
-    ``n_part``.  Immutable after construction; the factor is read-only, so
-    concurrent :meth:`step` calls on one operator are safe.
+    ``lu`` is the factor of M (:class:`TridiagonalLDLT`, :class:`PermutedLU` or
+    SuperLU) and ``n_part`` a ``dia_array`` or ``csr_array``; see :func:`build_step`.
+    The order ``n`` is derived from ``n_part``.  Immutable after construction; the
+    factor is read-only, so concurrent :meth:`step` calls on one operator are safe.
     """
 
     m_part: sp.csr_array
-    n_part: sp.csr_array
+    n_part: sp.csr_array | sp.dia_array
     lu: TridiagonalLDLT | PermutedLU | SuperLU
 
     @property
     def n(self) -> int:
         return self.n_part.shape[0]
 
+    @cached_property
+    def _diagonals(self) -> list[tuple[np.ndarray, slice, slice]]:
+        """(values, rows, cols) per diagonal of a DIA ``n_part``, in ascending offset
+        order: N[rows.start + i, cols.start + i] = values[i]."""
+        n = self.n
+        return [(row[max(o, 0):n + min(o, 0)], slice(max(-o, 0), n - max(o, 0)),
+                 slice(max(o, 0), n + min(o, 0)))
+                for o, row in zip(self.n_part.offsets.tolist(), self.n_part.data)]
+
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
         return self.lu.solve(v)
 
     def step(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One update M^{-1}(N x + b); shapes unchecked."""
-        return self.lu.solve(self.n_part @ x + b)
+        """One update M^{-1}(N x + b) into a new array; shapes unchecked."""
+        return self._step_into(x, b, np.empty(self.n), np.empty(self.n))
+
+    def _step_into(self, x: np.ndarray, b: np.ndarray, t: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+        """M^{-1}(N x + b) formed in ``t`` (returned if LDL^T solves it in place), with
+        ``work`` as scratch; x and b are only read.  Diagonals are summed from zero by
+        ascending offset, as CSR sums a row: N x is bitwise CSR's for a finite x."""
+        if isinstance(self.n_part, sp.dia_array):  # first: a failing check on an ABC is slow
+            t.fill(0.0)
+            for values, rows, cols in self._diagonals:
+                part, products = t[rows], work[rows]
+                np.multiply(values, x[cols], out=products)
+                part += products
+        else:
+            t[:] = self.n_part @ x
+        t += b
+        if isinstance(self.lu, TridiagonalLDLT):
+            return dpttrs(self.lu.d, self.lu.e, t, overwrite_b=True)[0]
+        return self.lu.solve(t)
 
 
 def build_step(
@@ -207,7 +235,9 @@ def build_step(
     L with the dense triangle U_k^{-1} of the previous block, b^2/2 entries
     for a block of order b; dissection leaves O(b log b) of them.  Both
     SuperLU routes factorize one column at a time (``SPLU_PANEL_SIZE``).  A
-    singular M raises :class:`FactorizationError`.
+    singular M raises :class:`FactorizationError`.  N is stored by its full-length
+    diagonals (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., sec. 3.4)
+    when they hold at most 1.25 nnz(N) + n values, as on the PDE grids, else in CSR.
 
     GSOR requires a finite omega != 0, by the check
     :class:`~gsolve.engine.IterationConfig` makes (:func:`relaxation_factor`),
@@ -229,6 +259,14 @@ def build_step(
         m_part, n_part = band, sp.csr_array(lower + upper)
     else:  # GGS
         m_part, n_part = sp.csr_array(band - lower), upper
+
+    n = n_part.shape[0]
+    offsets, which = np.unique(n_part.indices - np.repeat(np.arange(n), np.diff(n_part.indptr)),
+                               return_inverse=True)
+    if offsets.size * n <= 1.25 * n_part.nnz + n:
+        data = np.zeros((offsets.size, n))
+        data[which, n_part.indices] = n_part.data
+        n_part = sp.dia_array((data, offsets), shape=(n, n))
 
     lu = _spd_tridiagonal_factor(m_part)
     if lu is None:

@@ -34,8 +34,9 @@ from gsolve.cli import main
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m, positive_witness
-from gsolve.pde import LAYOUT_BENCH, assemble
+from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUTS, assemble
 from gsolve.solvers import TridiagonalLDLT
+from test_acceptance import METHOD_PLAN, TABLE_COUNTS
 
 GENERATORS = (random_sdd_matrix, random_m_matrix, random_h_matrix)
 
@@ -154,13 +155,15 @@ class TestSolve:
         assert report.final_diff_norm <= 1e-7
 
     def test_reference_iteration_counts(self):
-        # reproduction grid, stopping rule ||dx||_2 <= 1e-7 from the zero vector
-        problem = assemble(20, "xplusy", layout=LAYOUT_BENCH)
-        report = solve(problem.A, problem.b,
-                       IterationConfig("gsor", m=1, omega=1.5),
-                       x_exact=problem.x_exact)
-        assert report.converged
-        assert report.iterations == 105
+        # reproduction grid, stopping rule ||dx||_2 <= 1e-7 from the zero vector:
+        # every one of the paper's 48 counts, exactly
+        for g_id, per_size in TABLE_COUNTS.items():
+            for n, want in per_size.items():
+                problem = assemble(n, g_id, layout=LAYOUT_BENCH)
+                got = tuple(solve(problem.A, problem.b,
+                                  IterationConfig(method, m=m, omega=omega)).iterations
+                            for method, m, omega in METHOD_PLAN)
+                assert got == want, (g_id, n)
 
         problem = assemble(20, "zero", layout=LAYOUT_BENCH)
         report = solve(problem.A, problem.b, IterationConfig("gj", m=1),
@@ -172,26 +175,45 @@ class TestSolve:
 
     @pytest.mark.parametrize("method, m, omega", [
         ("gj", 1, None), ("ggs", 1, None), ("gsor", 0, 1.5), ("gsor", 1, 1.5),
+        ("gj", 2, None), ("ggs", 2, None), ("gsor", 2, 1.5),
     ])
     def test_loop_is_bitwise_the_apply_loop(self, method, m, omega):
-        # The solve loop's step and norm reproduce, bit for bit, a loop of
-        # op.step on b stopped by np.linalg.norm.
-        problem = assemble(20, "negexp4xy", layout=LAYOUT_BENCH)
-        A, b = problem.A, problem.b
+        # The solve loop reproduces, bit for bit, a loop of M^{-1}(N x + b)
+        # with N in CSR, stopped by np.linalg.norm, on the n = 20 grids.
         config = IterationConfig(method, m=m, omega=omega)
-        report = solve(A, b, config)
-        op = build_step(extract_splitting(A, m), method, omega)
-        x = np.zeros(A.n)
-        for k in range(1, config.max_iter + 1):
-            x_next = op.step(x, b)
-            diff = np.linalg.norm(x_next - x)
-            x = x_next
-            if diff <= config.tol:
-                break
-        assert report.converged
-        assert report.iterations == k
-        assert report.final_diff_norm == diff
-        np.testing.assert_array_equal(report.solution, x)
+        for layout in LAYOUTS:
+            for g_id in G_BUILTINS:
+                problem = assemble(20, g_id, layout=layout)
+                A, b = problem.A, problem.b
+                report = solve(A, b, config)
+                op = build_step(extract_splitting(A, m), method, omega)
+                n_csr = sp.csr_array(op.n_part)
+                x = np.zeros(A.n)
+                for k in range(1, config.max_iter + 1):
+                    x_next = op.lu.solve(n_csr @ x + b)
+                    diff = np.linalg.norm(x_next - x)
+                    x = x_next
+                    if diff <= config.tol:
+                        break
+                assert report.converged
+                assert report.iterations == k
+                assert report.final_diff_norm == diff
+                np.testing.assert_array_equal(report.solution, x)
+
+    @pytest.mark.parametrize("method, m, omega", [
+        ("gj", 1, None), ("gsor", 1, 1.5), ("gsor", 0, 1.5),
+    ], ids=["ldlt", "permuted", "superlu"])
+    def test_caller_vectors_are_only_read(self, method, m, omega):
+        # _finite_vector hands the loop the caller's own float64 arrays
+        problem = assemble(6, "negexp4xy", layout=LAYOUT_BENCH)
+        rng = np.random.default_rng(3)
+        for A in (problem.A, random_sdd_matrix(problem.A.n, rng)):  # N in DIA and in CSR
+            b, x_exact = rng.standard_normal(A.n), rng.standard_normal(A.n)
+            copies = b.copy(), x_exact.copy()
+            b.flags.writeable = x_exact.flags.writeable = False
+            solve(A, b, IterationConfig(method, m=m, omega=omega, max_iter=50), x_exact)
+            np.testing.assert_array_equal(b, copies[0])
+            np.testing.assert_array_equal(x_exact, copies[1])
 
     def test_divergence_guard_trips_early(self, spd3):
         b = spd3.csr.toarray() @ np.ones(3)

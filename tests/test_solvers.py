@@ -126,11 +126,22 @@ class TestApplyStep:
         np.testing.assert_allclose(got, oracle, rtol=1e-13)
 
     def test_input_not_modified(self, lmat3):
-        op = build_step(extract_splitting(lmat3, 1), "ggs")
-        x = np.array([1.0, 2.0, 3.0])
-        before = x.copy()
-        op.step(x, np.ones(3))
-        np.testing.assert_array_equal(x, before)
+        # read-only inputs: a write by the kernel or an in-place solve raises
+        bench = assemble(6, "zero", layout=LAYOUT_BENCH).A
+        rng = np.random.default_rng(9)
+        for op, factor in ((build_step(extract_splitting(lmat3, 1), "ggs"), PermutedLU),
+                           (build_at(bench, "gj", 1), TridiagonalLDLT),
+                           (build_at(bench, "gsor", 1, 1.5), PermutedLU),
+                           (build_at(bench, "gsor", 0, 1.5), SuperLU)):
+            assert isinstance(op.lu, factor)
+            x, b, v = (rng.standard_normal(op.n) for _ in range(3))
+            before = x.copy(), b.copy(), v.copy()
+            for vec in (x, b, v):
+                vec.flags.writeable = False
+            op.step(x, b)
+            op.solve_m(v)
+            for vec, copy in zip((x, b, v), before):
+                np.testing.assert_array_equal(vec, copy)
 
     def test_gsor_omega_one_equals_ggs_application(self, lmat3):
         rng = np.random.default_rng(4)
@@ -154,6 +165,56 @@ class TestApplyStep:
                 op = build_step(s, method, omega)
                 drift = np.linalg.norm(op.step(x_star, b) - x_star)
                 assert drift <= 1e-10 * np.linalg.norm(x_star)
+
+
+def assert_steps_as_csr(op, rng):
+    """op.step(x, b) is bitwise the reference update M^{-1}(N x + b) with N in CSR."""
+    x, b = rng.standard_normal(op.n), rng.standard_normal(op.n)
+    np.testing.assert_array_equal(op.step(x, b), op.lu.solve(sp.csr_array(op.n_part) @ x + b))
+
+
+class TestDiagonalStorage:
+    """N is stored by its diagonals when that takes at most 1.25 nnz(N) + n values."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_grid_n_is_diagonal(self, layout, m):
+        A = assemble(12, "negexp4xy", layout=layout).A
+        rng = np.random.default_rng(m)
+        for method, omega in (("gj", None), ("ggs", None), ("gsor", 1.5)):
+            op = build_at(A, method, m, omega)
+            assert isinstance(op.n_part, sp.dia_array), (method, m)
+            assert_steps_as_csr(op, rng)
+
+    def test_unstructured_n_stays_csr(self):
+        rng = np.random.default_rng(14)
+        op = build_at(SquareMatrix(random_strong_diag(rng, 40)), "ggs", 1)
+        assert isinstance(op.n_part, sp.csr_array)
+        assert_steps_as_csr(op, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((random_sdd_matrix, random_m_matrix, random_h_matrix)),
+        st.integers(2, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["gj", "ggs", "gsor"]),
+        st.floats(0.5, 1.0),
+        st.data(),
+    )
+    def test_banded_random_n(self, generator, n, seed, method, omega, data):
+        # Dropping the entries beyond a bandwidth keeps an SDD, M- or H-matrix
+        # in its class, so every M part stays nonsingular for omega <= 1.
+        rng = np.random.default_rng(seed)
+        width = data.draw(st.integers(0, n - 1), label="width")
+        dense = generator(n, rng).csr.toarray()
+        rows, cols = np.indices((n, n))
+        A = SquareMatrix(np.where(np.abs(rows - cols) <= width, dense, 0.0))
+        op = build_at(A, method, data.draw(st.integers(0, n - 1), label="m"),
+                      omega if method == "gsor" else None)
+        coo = sp.coo_array(op.n_part.toarray())
+        diagonals = np.unique(coo.col - coo.row).size
+        assert isinstance(op.n_part, sp.dia_array) == (diagonals * n <= 1.25 * coo.nnz + n)
+        assert_steps_as_csr(op, rng)
 
 
 def random_tridiagonal_m_matrix(rng, n):
@@ -257,27 +318,34 @@ class TestIterationMatrix:
                 assert rho >= abs(omega - 1.0) - 1e-12
 
 
-@pytest.mark.parametrize("method, m, omega, symmetric, factor", [
-    ("ggs", 3, None, False, PermutedLU),
-    ("gsor", 1, 0.8, False, PermutedLU),
-    ("gj", 1, None, True, TridiagonalLDLT),
-], ids=["ggs-superlu", "gsor-permuted", "gj-ldlt"])
-def test_concurrent_apply_is_safe(method, m, omega, symmetric, factor):
+@pytest.mark.parametrize("method, m, omega, source, factor", [
+    ("ggs", 3, None, "random", PermutedLU),
+    ("gsor", 1, 0.8, "random", PermutedLU),
+    ("gj", 1, None, "symmetric", TridiagonalLDLT),
+    ("gj", 1, None, "bench", TridiagonalLDLT),
+    ("gsor", 1, 1.5, "bench", PermutedLU),
+], ids=["ggs-superlu", "gsor-permuted", "gj-ldlt", "gj-ldlt-diagonal-n", "gsor-diagonal-n"])
+def test_concurrent_apply_is_safe(method, m, omega, source, factor):
     # the prepared factorization is read-only; parallel step calls on one
     # operator must give the same iterates as a sequential run and leave
     # the callers' vectors as they were
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(14)
-    dense = random_strong_diag(rng, 40)
-    if symmetric:  # symmetric SDD with positive diagonal
-        dense = dense + dense.T
-        np.fill_diagonal(dense, 0.0)
-        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
-    op = build_step(extract_splitting(SquareMatrix(dense), m), method, omega)
+    if source == "bench":  # N by its diagonals, applied by the shift-add kernel
+        A = assemble(8, "negexp4xy", layout=LAYOUT_BENCH).A
+    else:
+        dense = random_strong_diag(rng, 40)
+        if source == "symmetric":  # symmetric SDD with positive diagonal
+            dense = dense + dense.T
+            np.fill_diagonal(dense, 0.0)
+            np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        A = SquareMatrix(dense)
+    op = build_step(extract_splitting(A, m), method, omega)
     assert isinstance(op.lu, factor)
-    b = rng.normal(size=40)
-    starts = [rng.normal(size=40) for _ in range(32)]
+    assert isinstance(op.n_part, sp.dia_array) == (source == "bench")
+    b = rng.normal(size=A.n)
+    starts = [rng.normal(size=A.n) for _ in range(32)]
     copies = [x.copy() for x in starts]
     sequential = [op.step(x, b) for x in starts]
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -360,6 +428,26 @@ def assert_nested(order, start, stop, width):
     assert_nested(rest[rest > sep[-1]], sep[-1] + 1, stop, width)
 
 
+def scatter_max_dissection_order(splitting):
+    """Reference for _dissection_order: block widths by np.maximum.at over the
+    band entries, then the same recursion, without memoization."""
+    bounds = splitting.blocks()
+    coo = splitting.band.csr.tocoo()
+    width = np.zeros(bounds.size - 1, dtype=np.intp)
+    np.maximum.at(width, np.searchsorted(bounds, coo.row, side="right") - 1,
+                  np.abs(coo.row - coo.col))
+
+    def order(length, w):
+        if length <= max(2 * w, 1):
+            return np.arange(length)
+        half = (length - w) // 2
+        return np.concatenate([order(half, w), half + w + order(length - w - half, w),
+                               half + np.arange(w)])
+
+    return np.concatenate([start + order(length, w) for start, length, w in
+                           zip(bounds[:-1], np.diff(bounds), width)])
+
+
 class TestOrdering:
     """M is factorized in natural order unless that order fills its envelope;
     GGS and GSOR at m > 0 are then reordered by nested dissection."""
@@ -422,6 +510,24 @@ class TestOrdering:
         s = extract_splitting(A, width)
         np.testing.assert_array_equal(s.blocks(), [0, length])
         np.testing.assert_array_equal(_dissection_order(s), want)
+
+    @pytest.mark.parametrize("source", [*LAYOUTS, "generators", "empty-blocks"])
+    def test_dissection_order_matches_the_scatter_max_reference(self, source):
+        rng = np.random.default_rng(21)
+        if source in LAYOUTS:
+            cases = [(assemble(12, g, layout=source).A, m) for g in ("zero", "expxy")
+                     for m in (1, 2)]
+        elif source == "generators":
+            cases = [(gen(n, rng), int(rng.integers(0, n))) for gen in
+                     (random_sdd_matrix, random_m_matrix, random_h_matrix) for n in (5, 17, 30)]
+        else:  # rows 2, 5 and 6 hold no band entry; no entry follows rows 5 and 6
+            dense = np.diag([4.0, 4.0, 0.0, 4.0, 4.0, 0.0, 0.0])
+            dense[0, 1] = dense[1, 0] = dense[3, 4] = dense[4, 3] = -1.0
+            dense[5, 0] = dense[0, 5] = dense[2, 4] = dense[6, 3] = -1.0
+            cases = [(SquareMatrix(dense), 1)]
+        for A, m in cases:
+            s = extract_splitting(A, m)
+            np.testing.assert_array_equal(_dissection_order(s), scatter_max_dissection_order(s))
 
     def test_two_point_blocks_keep_natural_order(self):
         n = 40
