@@ -93,6 +93,8 @@ class SolveReport:
 
 
 def _finite_vector(name: str, v, n: int) -> np.ndarray:
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} has complex entries")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
@@ -115,8 +117,8 @@ def solve(
     extraction and factorization are timed as ``setup_seconds``, the
     iteration loop as ``elapsed_seconds``.  When ``x_exact`` is supplied the
     2-norm error of the final iterate is reported as ``final_error_norm``.
-    A misshapen or non-finite ``b`` or ``x_exact`` raises ValueError before
-    set-up.
+    A complex, misshapen or non-finite ``b`` or ``x_exact`` raises ValueError
+    before set-up.
     """
     b = _finite_vector("b", b, A.n)
     x = np.zeros(A.n)
@@ -128,15 +130,14 @@ def solve(
 
     note = ""
     start = time.perf_counter()
-    # The loop's own buffers; after each step t takes over the previous iterate's array.
-    t, work, d = np.empty(A.n), np.empty(A.n), np.empty(A.n)
+    d = np.empty(A.n)  # the successive difference
     # max_iter >= 1, so the loop runs and leaves k, diff and first_diff bound.
     for k in range(1, config.max_iter + 1):
-        x_next = op._step_into(x, b, t, work)
+        x_next = op.step(x, b)
         np.subtract(x_next, x, out=d)
         # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
         diff = math.sqrt(d.dot(d))
-        x, t = x_next, x
+        x = x_next
         if k == 1:
             first_diff = diff
         if diff <= config.tol:

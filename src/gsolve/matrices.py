@@ -40,8 +40,8 @@ class SquareMatrix:
     that ``scipy.sparse.csr_array`` accepts (nested lists, dense, COO, CSR,
     ...) and stores a float64 CSR copy with duplicate coordinates summed
     (Matrix Market convention), zeros dropped and indices sorted.  It rejects
-    a non-square array, order 0 and NaN or infinite entries, so every
-    instance has a positive order and finite, nonzero entries, one per
+    a complex or non-square array, order 0 and NaN or infinite entries, so
+    every instance has a positive order and finite, nonzero entries, one per
     coordinate.  The identity is ``SquareMatrix(sp.eye_array(n))`` and the
     dense form ``A.csr.toarray()``.
     """
@@ -49,6 +49,8 @@ class SquareMatrix:
     csr: sp.csr_array
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.csr):
+            raise ValueError("matrix entries must be real, got a complex array")
         csr = sp.csr_array(self.csr, dtype=np.float64, copy=True)
         csr.sum_duplicates()
         csr.eliminate_zeros()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,7 @@ class Method(str, Enum):
     def parse(cls, name: "Method | str") -> "Method":
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown method {name!r}; expected one of {valid}") from None
 
@@ -178,36 +178,15 @@ class StepOperator:
     def n(self) -> int:
         return self.n_part.shape[0]
 
-    @cached_property
-    def _diagonals(self) -> list[tuple[np.ndarray, slice, slice]]:
-        """(values, rows, cols) per diagonal of a DIA ``n_part``, in ascending offset
-        order: N[rows.start + i, cols.start + i] = values[i]."""
-        n = self.n
-        return [(row[max(o, 0):n + min(o, 0)], slice(max(-o, 0), n - max(o, 0)),
-                 slice(max(o, 0), n + min(o, 0)))
-                for o, row in zip(self.n_part.offsets.tolist(), self.n_part.data)]
-
     def solve_m(self, v: np.ndarray) -> np.ndarray:
         """Apply the prepared M^{-1} to a vector or to matrix columns."""
         return self.lu.solve(v)
 
     def step(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One update M^{-1}(N x + b) into a new array; shapes unchecked."""
-        return self._step_into(x, b, np.empty(self.n), np.empty(self.n))
-
-    def _step_into(self, x: np.ndarray, b: np.ndarray, t: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
-        """M^{-1}(N x + b) formed in ``t`` (returned if LDL^T solves it in place), with
-        ``work`` as scratch; x and b are only read.  Diagonals are summed from zero by
-        ascending offset, as CSR sums a row: N x is bitwise CSR's for a finite x."""
-        if isinstance(self.n_part, sp.dia_array):  # first: a failing check on an ABC is slow
-            t.fill(0.0)
-            for values, rows, cols in self._diagonals:
-                part, products = t[rows], work[rows]
-                np.multiply(values, x[cols], out=products)
-                part += products
-        else:
-            t[:] = self.n_part @ x
+        """One update M^{-1}(N x + b) into a new array; x and b are only read, shapes
+        unchecked.  scipy's DIA product sums the stored diagonals from zero in their
+        ascending offset order, as CSR sums a row, so N x is bitwise CSR's for a finite x."""
+        t = self.n_part @ x
         t += b
         if isinstance(self.lu, TridiagonalLDLT):
             return dpttrs(self.lu.d, self.lu.e, t, overwrite_b=True)[0]

@@ -115,6 +115,11 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="omega must be finite and nonzero for gsor"):
             IterationConfig("gsor", m=1, omega=omega)
 
+    @pytest.mark.parametrize("method", [None, 3, 1.5, b"gj", ["gj"]])
+    def test_non_string_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            IterationConfig(method, m=1)
+
     def test_method_normalized(self):
         assert IterationConfig("GGS", m=0).method is Method.GGS
         assert all(Method.parse(method) is method for method in Method)
@@ -267,6 +272,15 @@ class TestSolve:
         vec[index] = value
         with pytest.raises(ValueError, match=rf"^{name} has non-finite"):
             self._solve_without_set_up(name, vec)
+
+    @given(st.sampled_from(["b", "x_exact"]), st.sampled_from([1j, 0j]), st.integers(0, 3))
+    def test_complex_vector_rejected_before_set_up(self, name, value, index):
+        vec = np.ones(4, dtype=complex)
+        vec[index] += value
+        with pytest.raises(ValueError, match=rf"^{name} has complex entries"):
+            self._solve_without_set_up(name, vec)
+        with pytest.raises(ValueError, match=rf"^{name} has complex entries"):
+            self._solve_without_set_up(name, vec.tolist())
 
     def test_max_iter_is_respected(self, spd3):
         b = spd3.csr.toarray() @ np.ones(3)

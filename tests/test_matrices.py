@@ -81,6 +81,14 @@ class TestSquareMatrix:
             with pytest.raises(ValueError, match="must be square"):
                 SquareMatrix(bad)
 
+    @pytest.mark.parametrize("build", [list, np.array, sp.csr_array, sp.coo_matrix],
+                             ids=["list", "ndarray", "csr", "coo"])
+    def test_complex_entries_rejected(self, build):
+        # casting to float64 would drop the imaginary part and leave the identity
+        for dense in ([[1 + 2j, 0], [0, 1]], np.eye(2, dtype=complex)):
+            with pytest.raises(ValueError, match="must be real"):
+                SquareMatrix(build(dense))
+
     def test_constructor_takes_any_square_array(self):
         A = SquareMatrix(np.eye(3))
         assert A.n == 3

@@ -59,8 +59,9 @@ class TestBuildStep:
         # GJ's M is the band; GGS's would also subtract spd3's nonzero corner
         np.testing.assert_array_equal(build_step(s, "GJ").m_part.toarray(),
                                       s.band.csr.toarray())
-        with pytest.raises(ValueError, match="unknown method"):
-            build_step(s, "sor")
+        for token in ("sor", None, 3, b"gj"):
+            with pytest.raises(ValueError, match="unknown method"):
+                build_step(s, token)
 
     def test_gsor_needs_nonzero_omega(self, spd3):
         s = extract_splitting(spd3, 1)
@@ -176,12 +177,17 @@ def assert_steps_as_csr(op, rng):
 class TestDiagonalStorage:
     """N is stored by its diagonals when that takes at most 1.25 nnz(N) + n values."""
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_grid_n_is_diagonal(self, layout, m):
-        A = assemble(12, "negexp4xy", layout=layout).A
+    @pytest.mark.parametrize("n, layout, m, methods", [
+        *(pytest.param(12, layout, m, (("gj", None), ("ggs", None), ("gsor", 1.5)),
+                       id=f"{m}-{layout}") for m in (0, 1, 2) for layout in LAYOUTS),
+        # SOR and GSOR m = 1 of the grid150 benchmark, at order 22 350
+        pytest.param(150, LAYOUT_BENCH, 0, (("gsor", 1.9),), id="0-bench-150"),
+        pytest.param(150, LAYOUT_BENCH, 1, (("gsor", 1.9),), id="1-bench-150"),
+    ])
+    def test_grid_n_is_diagonal(self, n, layout, m, methods):
+        A = assemble(n, "negexp4xy", layout=layout).A
         rng = np.random.default_rng(m)
-        for method, omega in (("gj", None), ("ggs", None), ("gsor", 1.5)):
+        for method, omega in methods:
             op = build_at(A, method, m, omega)
             assert isinstance(op.n_part, sp.dia_array), (method, m)
             assert_steps_as_csr(op, rng)
@@ -332,7 +338,7 @@ def test_concurrent_apply_is_safe(method, m, omega, source, factor):
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(14)
-    if source == "bench":  # N by its diagonals, applied by the shift-add kernel
+    if source == "bench":  # N by its diagonals, applied by dia_array @
         A = assemble(8, "negexp4xy", layout=LAYOUT_BENCH).A
     else:
         dense = random_strong_diag(rng, 40)
