@@ -29,6 +29,7 @@ from .matrices import (
     certify_m,
     classify,
     extract_splitting,
+    gamma,
     is_z_matrix,
     require_integer,
 )
@@ -76,7 +77,8 @@ class SolveReport:
 
     ``note`` is empty iff ``converged``, else ``"diverged"`` or ``"max_iter"``.
     ``setup_seconds`` is the time of splitting extraction and factorization,
-    ``elapsed_seconds`` that of the iteration loop.
+    ``elapsed_seconds`` that of the iteration loop.  Both norms are summed
+    by ``math.fsum``, so they, like the count, do not depend on BLAS.
     """
 
     iterations: int
@@ -101,6 +103,14 @@ def _finite_vector(name: str, v, n: int) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def _fsum_norm(v: np.ndarray) -> float:
+    """2-norm of v from the correctly rounded sum of its rounded squares: no BLAS."""
+    try:
+        return math.sqrt(math.fsum(v * v))
+    except OverflowError:  # the sum lies past the float range
+        return math.inf
 
 
 def solve(
@@ -129,6 +139,10 @@ def solve(
     setup = time.perf_counter() - setup_start
 
     note = ""
+    tol = config.tol
+    # ddot in any summation order and _fsum_norm lie within gamma_{n+2} of the
+    # exact norm, so outside this window of tol every BLAS decides alike.
+    window = gamma(A.n + 2) * tol
     start = time.perf_counter()
     d = np.empty(A.n)  # the successive difference
     # max_iter >= 1, so the loop runs and leaves k, diff and first_diff bound.
@@ -137,10 +151,12 @@ def solve(
         np.subtract(x_next, x, out=d)
         # Bitwise what np.linalg.norm computes for a 1-D float64 vector.
         diff = math.sqrt(d.dot(d))
+        if abs(diff - tol) <= window:
+            diff = _fsum_norm(d)
         x = x_next
         if k == 1:
             first_diff = diff
-        if diff <= config.tol:
+        if diff <= tol:
             break
         if not math.isfinite(diff) or diff > DIVERGENCE_GUARD * first_diff:
             note = "diverged"
@@ -148,8 +164,10 @@ def solve(
     else:
         note = "max_iter"
     elapsed = time.perf_counter() - start
+    if math.isfinite(diff):  # a non-finite norm is one in every order
+        diff = _fsum_norm(d)
 
-    err = None if x_exact is None else float(np.linalg.norm(x - x_exact))
+    err = None if x_exact is None else _fsum_norm(x - x_exact)
     return SolveReport(
         iterations=k,
         final_diff_norm=diff,

@@ -227,14 +227,19 @@ def certify_m(A: SquareMatrix) -> MCertificate:
     return MCertificate(None if witness is None else lu, witness, note)
 
 
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound
+    of a k-term sum or dot product in any order (Higham, 2nd ed., ch. 3)."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
 def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]:
     """Check a computed solution x of A x = e as an M-matrix witness.
 
-    Accepts w = x / max|x| when w > 0 and fl(A w) > 2 gamma_k fl(|A| w),
-    with gamma_k = k u / (1 - k u), u = 2^-53 and k the longest row's entry
-    count: then A w > 0 exactly (Higham, 2nd ed., ch. 3), which certifies a
-    Z-matrix as a nonsingular M-matrix (Berman & Plemmons, ch. 6), whatever
-    the units of an unknown.  A row scaled 1e14 or more times the others is
+    Accepts w = x / max|x| when w > 0 and fl(A w) > 2 gamma_k fl(|A| w)
+    (:func:`gamma`, k the longest row's entry count): then A w > 0 exactly,
+    which certifies a Z-matrix as a nonsingular M-matrix (Berman & Plemmons,
+    ch. 6), whatever the units of an unknown.  A row scaled 1e14 or more times the others is
     refused.  Returns (w, None) or (None, the reason it fails).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -247,9 +252,9 @@ def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]
     if np.min(witness) <= 0.0:
         return None, "witness has nonpositive components"
     csr = A.csr
-    ku = np.diff(csr.indptr).max() * 2.0**-53
+    slack = 2.0 * gamma(np.diff(csr.indptr).max())
     magnitude = sp.csr_array((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-    if not np.all(csr @ witness > 2.0 * ku / (1.0 - ku) * (magnitude @ witness)):
+    if not np.all(csr @ witness > slack * (magnitude @ witness)):
         return None, "witness image not strictly positive"
     return witness, None
 

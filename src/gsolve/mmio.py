@@ -1,11 +1,13 @@
-"""Matrix Market coordinate I/O for square matrices (1-based indices)."""
+"""Matrix Market coordinate I/O for square matrices (1-based indices).
+
+scipy.io is imported on first use, so commands without a file skip it.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .matrices import SquareMatrix
@@ -17,6 +19,7 @@ def read_matrix(path: str | Path) -> SquareMatrix:
     Handles both ``general`` and ``symmetric`` coordinate files as well as
     array files; duplicate coordinates are summed.
     """
+    import scipy.io
     path = Path(path)
     field = scipy.io.mminfo(path)[4]
     if field not in ("real", "integer", "pattern"):
@@ -26,6 +29,7 @@ def read_matrix(path: str | Path) -> SquareMatrix:
 
 def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
     """Write a matrix as a general real coordinate file."""
+    import scipy.io
     open(path, "wb").close()  # mmwrite returns silently on a path it cannot open
     scipy.io.mmwrite(
         str(path),

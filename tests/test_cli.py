@@ -753,3 +753,38 @@ def test_closed_stdout_exits_141_silently(unbuffered):
     _, err = child.communicate(timeout=60)
     assert child.returncode == 141
     assert err == b""  # no traceback, no "[Errno 32] Broken pipe"
+
+
+def test_table_starts_without_scipy_io_and_a_later_read_loads_it(fixtures_dir):
+    # Matrix Market I/O imports scipy.io on first use, so table never loads it.
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from gsolve.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['table', '2', '--format', 'csv']) == 0",
+        "print('scipy.io' in sys.modules)",
+        "from gsolve import read_matrix",
+        f"print(read_matrix({str(fixtures_dir / 'spd3.mtx')!r}).n, 'scipy.io' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_console_env(), check=True, timeout=60)
+    assert done.stdout.split() == ["False", "3", "True"]
+
+
+def test_run_prints_the_same_bytes_at_one_and_two_blas_threads():
+    # Above order 10 000 OpenBLAS's ddot sums in an order that depends on its
+    # thread count; the count and both printed norms must not.
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**_console_env(), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "gsolve.cli", "run", "--pde", "g=negexp4xy", "n=101",
+             "--method", "gsor", "--m", "1", "--omega", "1.9", "--format", "csv"],
+            capture_output=True, text=True, env=env, check=True, timeout=120)
+        lines = [line.split(",") for line in done.stdout.splitlines()]
+        column = lines[0].index("seconds")
+        for fields in lines[1:]:
+            fields[column] = ""
+        outputs.append("\n".join(",".join(fields) for fields in lines))
+    assert outputs[0] == outputs[1]
+    assert ",10100,1,1.9,493,true," in outputs[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 from unittest import mock
 
@@ -184,7 +185,8 @@ class TestSolve:
     ])
     def test_loop_is_bitwise_the_apply_loop(self, method, m, omega):
         # The solve loop reproduces, bit for bit, a loop of M^{-1}(N x + b)
-        # with N in CSR, stopped by np.linalg.norm, on the n = 20 grids.
+        # with N in CSR, stopped by np.linalg.norm, on the n = 20 grids; the
+        # reported norm is the last difference's, summed by math.fsum.
         config = IterationConfig(method, m=m, omega=omega)
         for layout in LAYOUTS:
             for g_id in G_BUILTINS:
@@ -196,13 +198,13 @@ class TestSolve:
                 x = np.zeros(A.n)
                 for k in range(1, config.max_iter + 1):
                     x_next = op.lu.solve(n_csr @ x + b)
-                    diff = np.linalg.norm(x_next - x)
+                    d = x_next - x
                     x = x_next
-                    if diff <= config.tol:
+                    if np.linalg.norm(d) <= config.tol:
                         break
                 assert report.converged
                 assert report.iterations == k
-                assert report.final_diff_norm == diff
+                assert report.final_diff_norm == math.sqrt(math.fsum(d * d))
                 np.testing.assert_array_equal(report.solution, x)
 
     @pytest.mark.parametrize("method, m, omega", [
@@ -628,6 +630,46 @@ class TestRegularSplittingRoute:
             1.5883, abs=5e-5)
         assert spectral_radius(refusals["singular"][0], mode="power", seed=0).value == (
             pytest.approx(1.0, abs=1e-8))
+
+
+def _radius_and_n(A, method, m, omega=None):
+    """Dense rho(H) and the dense N of the method's splitting of A."""
+    op = build_step(extract_splitting(A, m), method, omega)
+    return spectral_radius(iteration_matrix(op)), op.n_part.toarray()
+
+
+def _assert_ordered(smaller, larger):
+    """The comparison theorem for regular splittings N2 <= N1 of a nonsingular
+    M-matrix with A^{-1} > 0: rho2 <= rho1, strictly when N2 != N1 and rho1 > 0."""
+    (rho2, n2), (rho1, n1) = smaller, larger
+    assert n2.min() >= 0.0 and np.all(n2 <= n1)  # the theorem's hypotheses
+    assert rho2 <= rho1 + 1e-12
+    if rho1 > 0.0 and not np.array_equal(n2, n1):
+        assert rho2 < rho1
+
+
+class TestComparisonTheorems:
+    """Varga, Matrix Iterative Analysis, ch. 3; Csordas & Varga, "Comparisons
+    of regular splittings of matrices", Numer. Math. 44 (1984).  Every B that
+    random_m_matrix draws is positive, so A is irreducible and A^{-1} > 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 29), st.integers(0, 2**32 - 1), st.integers(1, 20))
+    def test_orderings_on_m_matrices(self, n, seed, twentieths):
+        A = random_m_matrix(n, np.random.default_rng(seed))
+        gj = [_radius_and_n(A, "gj", m) for m in range(n)]
+        ggs = [_radius_and_n(A, "ggs", m) for m in range(n)]
+        for m in range(n - 1):
+            _assert_ordered(ggs[m], gj[m])  # N_GGS = upper <= lower + upper = N_GJ
+            _assert_ordered(gj[m + 1], gj[m])  # a wider band leaves less in N
+            _assert_ordered(ggs[m + 1], ggs[m])
+        # SOR at omega <= 1: N = (1/omega - 1) D + upper >= upper = N_GS
+        omega = twentieths / 20
+        _assert_ordered(ggs[0], _radius_and_n(A, "gsor", 0, omega))
+        # At m >= 1, N_GSOR holds (1/omega - 1) times band's negative off-diagonal
+        # entries, so that splitting is not regular and no ordering is asserted.
+        if omega < 1.0:
+            assert _radius_and_n(A, "gsor", 1, omega)[1].min() < 0.0
 
 
 class TestPredict:
