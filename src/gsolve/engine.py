@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigs
@@ -44,11 +45,11 @@ DIVERGENCE_GUARD = 1e12
 class IterationConfig:
     """Validated method spec and stopping parameters for :func:`solve`.
 
-    ``m`` and ``max_iter`` must be whole numbers; ``omega`` becomes None for
-    GJ and GGS (:func:`~gsolve.solvers.relaxation_factor`).  The stopping
-    rule is the 2-norm of successive differences dropping to ``tol``; the
-    iterate count reported is the number of steps performed when the test
-    first passes.
+    ``m`` and ``max_iter`` must be whole numbers and ``tol`` real; ``omega``
+    becomes None for GJ and GGS (:func:`~gsolve.solvers.relaxation_factor`).
+    The stopping rule is the 2-norm of successive differences dropping to
+    ``tol``; the iterate count reported is the number of steps performed
+    when the test first passes.
     """
 
     method: Method | str
@@ -60,14 +61,12 @@ class IterationConfig:
     def __post_init__(self) -> None:
         method = Method.parse(self.method)
         object.__setattr__(self, "method", method)
-        if not 0 < self.tol < math.inf:
+        tol = float(self.tol) if isinstance(self.tol, Real) else math.nan
+        if not 0 < tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        object.__setattr__(self, "max_iter", require_integer("max_iter", self.max_iter))
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        object.__setattr__(self, "m", require_integer("half-bandwidth m", self.m))
-        if self.m < 0:
-            raise ValueError(f"half-bandwidth m must be >= 0, got {self.m}")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iter", require_integer("max_iter", self.max_iter, 1))
+        object.__setattr__(self, "m", require_integer("half-bandwidth m", self.m, 0))
         object.__setattr__(self, "omega", relaxation_factor(method, self.omega))
 
 
@@ -94,12 +93,12 @@ class SolveReport:
         return not self.note
 
 
-def _finite_vector(name: str, v, n: int) -> np.ndarray:
+def _finite_array(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
     if np.iscomplexobj(v):
         raise ValueError(f"{name} has complex entries")
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
@@ -130,10 +129,10 @@ def solve(
     A complex, misshapen or non-finite ``b`` or ``x_exact`` raises ValueError
     before set-up.
     """
-    b = _finite_vector("b", b, A.n)
+    b = _finite_array("b", b, (A.n,))
     x = np.zeros(A.n)
     if x_exact is not None:
-        x_exact = _finite_vector("x_exact", x_exact, A.n)
+        x_exact = _finite_array("x_exact", x_exact, (A.n,))
     setup_start = time.perf_counter()
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
     setup = time.perf_counter() - setup_start
@@ -265,8 +264,8 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
                     certificate: MCertificate | None = None):
     """Largest eigenvalue modulus of an iteration matrix.
 
-    ``mode="dense"``: ``target`` is an explicit square ndarray, such as
-    ``iteration_matrix(op)``; returns a float from a dense eigenvalue
+    ``mode="dense"``: ``target`` is an explicit real, finite, square matrix,
+    such as ``iteration_matrix(op)``; returns a float from a dense eigenvalue
     computation.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
@@ -274,7 +273,8 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     gives radius 0.  Up to order ``SMALL_ORDER`` the radius is the dense one
     of ``iteration_matrix(target)``; above it ARPACK finds the dominant
     eigenpair from the start vector drawn with ``seed``, 0 unless given, so
-    every call is deterministic.
+    every call is deterministic.  ``seed`` must be a whole number >= 0 on
+    every route.
 
     Above ``SMALL_ORDER``, a step operator whose splitting M - N = A is
     certified regular (N >= 0, M a Z-matrix, A certified by
@@ -288,13 +288,13 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     gives ``error_bound`` either way.
     """
     if mode == "dense":
-        dense = np.asarray(target, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError(f"dense mode needs a square matrix, got shape {dense.shape}")
+        # (k, k) for a target of k rows; a 0-d target is held to (0, 0), so it is refused.
+        dense = _finite_array("dense matrix", target, np.shape(target)[:1] * 2 or (0, 0))
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
     if mode == "power":
         if not isinstance(target, StepOperator):
             raise TypeError("power mode needs a StepOperator")
+        seed = require_integer("seed", seed, 0)
         op = target
         if op.n_part.nnz == 0:
             return PowerEstimate(0.0, 0.0, 0)

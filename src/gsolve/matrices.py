@@ -114,11 +114,14 @@ class BandedSplitting:
         return np.concatenate(([0], cuts, [n]))
 
 
-def require_integer(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is a whole number."""
-    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name}={value} is not an integer")
+def require_integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is a whole number, and ``>= low`` if given."""
+    if not (isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name}={value} is not an integer")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
+    return int(value)
 
 
 def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, require_integer
 
 LAYOUT_SQUARE = "square"
 LAYOUT_BENCH = "bench"
@@ -53,12 +53,11 @@ class PdeProblem:
 def assemble(n: int, g: str, layout: str = LAYOUT_SQUARE) -> PdeProblem:
     """Assemble the benchmark system A x = b of size parameter n, x = ones.
 
-    ``g`` names a reaction coefficient of ``G_BUILTINS`` (xplusy, zero,
-    expxy, negexp4xy).  See the module docstring for the two layouts, their
-    grid spacing h and their line counts.
+    ``n`` must be a whole number >= 2.  ``g`` names a reaction coefficient
+    of ``G_BUILTINS`` (xplusy, zero, expxy, negexp4xy).  See the module
+    docstring for the two layouts, their grid spacing h and their line counts.
     """
-    if n < 2:
-        raise ValueError(f"grid parameter n must be >= 2, got {n}")
+    n = require_integer("grid parameter n", n, 2)
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUTS}")
     if g not in G_BUILTINS:

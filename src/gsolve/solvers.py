@@ -23,9 +23,11 @@ the methods reduce to classical Jacobi, Gauss-Seidel, and SOR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,10 +58,10 @@ def relaxation_factor(method: Method, omega: float | None) -> float | None:
         return None
     if omega is None:
         raise ValueError("gsor requires a relaxation factor omega")
-    omega = float(omega)
-    if omega == 0.0 or not np.isfinite(omega):
+    value = float(omega) if isinstance(omega, Real) else math.nan
+    if value == 0.0 or not math.isfinite(value):
         raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
-    return omega
+    return value
 
 
 class FactorizationError(ValueError):
@@ -249,18 +251,17 @@ def build_step(
 
     lu = _spd_tridiagonal_factor(m_part)
     if lu is None:
+        permuted = method is not Method.GJ and splitting.m > 0 and lower.nnz > 0
+        p = _dissection_order(splitting) if permuted else None
         try:
-            if method is not Method.GJ and splitting.m > 0 and lower.nnz > 0:
-                p = _dissection_order(splitting)
-                lu = PermutedLU(splu(sp.csc_matrix(m_part[p][:, p]), permc_spec="NATURAL",
-                                     panel_size=SPLU_PANEL_SIZE), p)
-            else:
-                lu = splu(sp.csc_matrix(m_part), permc_spec="NATURAL",
-                          panel_size=SPLU_PANEL_SIZE)
+            lu = splu(sp.csc_matrix(m_part if p is None else m_part[p][:, p]),
+                      permc_spec="NATURAL", panel_size=SPLU_PANEL_SIZE)
         except (RuntimeError, ValueError) as err:
             raise FactorizationError(
                 f"M part is singular for method={method.value}, m={splitting.m}: {err}"
             ) from err
+        if p is not None:
+            lu = PermutedLU(lu, p)
 
     return StepOperator(m_part=m_part, n_part=n_part, lu=lu)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 from unittest import mock
 
@@ -111,7 +112,7 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol"):
             IterationConfig("gj", m=1, tol=tol)
 
-    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), 0.0, 1j])
     def test_non_finite_or_zero_gsor_omega_rejected(self, omega):
         with pytest.raises(ValueError, match="omega must be finite and nonzero for gsor"):
             IterationConfig("gsor", m=1, omega=omega)
@@ -131,6 +132,9 @@ class TestIterationConfig:
         ("max_iter", float("inf"), "max_iter=inf is not an integer"),
         ("m", 1.5, "half-bandwidth m=1.5 is not an integer"),
         ("m", "1", "half-bandwidth m=1 is not an integer"),
+        ("tol", 1j, "tol must be positive and finite, got 1j"),
+        ("tol", None, "tol must be positive and finite, got None"),
+        ("tol", "x", "tol must be positive and finite, got x"),
     ])
     def test_non_integral_m_or_max_iter_rejected(self, monkeypatch, field, value, message):
         def refuse(*args, **kwargs):
@@ -145,6 +149,11 @@ class TestIterationConfig:
         config = IterationConfig("gj", m=1.0, max_iter=10.0)
         assert (config.m, config.max_iter) == (1, 10)
         assert type(config.m) is int and type(config.max_iter) is int
+
+    def test_tol_is_stored_as_float(self):
+        for tol in (1, np.float32(0.5), np.int64(2)):
+            config = IterationConfig("gj", m=1, tol=tol)
+            assert type(config.tol) is float and config.tol == tol
 
     def test_omega_is_dropped_for_gj_and_ggs(self):
         assert IterationConfig("gj", m=1, omega=1.5).omega is None
@@ -211,7 +220,7 @@ class TestSolve:
         ("gj", 1, None), ("gsor", 1, 1.5), ("gsor", 0, 1.5),
     ], ids=["ldlt", "permuted", "superlu"])
     def test_caller_vectors_are_only_read(self, method, m, omega):
-        # _finite_vector hands the loop the caller's own float64 arrays
+        # _finite_array hands the loop the caller's own float64 arrays
         problem = assemble(6, "negexp4xy", layout=LAYOUT_BENCH)
         rng = np.random.default_rng(3)
         for A in (problem.A, random_sdd_matrix(problem.A.n, rng)):  # N in DIA and in CSR
@@ -252,7 +261,11 @@ class TestSolve:
 
     @staticmethod
     def _solve_without_set_up(name, vec):
-        """Solve with ``vec`` as b or x_exact; failing if build_step is reached."""
+        """Solve with ``vec`` as b or x_exact, failing if build_step is reached; or, as
+        the "dense matrix", take the dense radius of ``vec`` laid out as a 2 x 2 matrix."""
+        if name == "dense matrix":
+            spectral_radius(np.reshape(vec, (2, 2)))
+            return
         problem = assemble(2, "zero")  # order 4
         args = {"b": problem.b, "x_exact": None, name: vec}
         started = AssertionError(f"solve set up the iteration before checking {name}")
@@ -266,7 +279,7 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"^b has shape"):
             self._solve_without_set_up("b", np.ones(shape))
 
-    @given(st.sampled_from(["b", "x_exact"]),
+    @given(st.sampled_from(["b", "x_exact", "dense matrix"]),
            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
            st.integers(0, 3))
     def test_non_finite_vector_rejected_before_set_up(self, name, value, index):
@@ -275,7 +288,8 @@ class TestSolve:
         with pytest.raises(ValueError, match=rf"^{name} has non-finite"):
             self._solve_without_set_up(name, vec)
 
-    @given(st.sampled_from(["b", "x_exact"]), st.sampled_from([1j, 0j]), st.integers(0, 3))
+    @given(st.sampled_from(["b", "x_exact", "dense matrix"]), st.sampled_from([1j, 0j]),
+           st.integers(0, 3))
     def test_complex_vector_rejected_before_set_up(self, name, value, index):
         vec = np.ones(4, dtype=complex)
         vec[index] += value
@@ -325,13 +339,37 @@ class TestSpectralRadius:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.zeros((2, 3)))
+        for target, message in (
+            (np.zeros((2, 3)), r"has shape \(2, 3\), expected \(2, 2\)"),
+            (np.zeros(3), r"has shape \(3,\), expected \(3, 3\)"),
+            (np.float64(1.0), r"has shape \(\), expected \(0, 0\)"),
+            (np.array([[1j]]), "has complex entries"),
+            (np.array([[np.nan]]), "has non-finite entries"),
+        ):
+            with pytest.raises(ValueError, match=rf"^dense matrix {message}$"):
+                spectral_radius(target)
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 2)), mode="magic")
         for target in (object(), lambda v: v):
             with pytest.raises(TypeError, match="StepOperator"):
                 spectral_radius(target, mode="power")
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed=1.5 is not an integer"),
+        ("3", "seed=3 is not an integer"),
+    ])
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_seed_is_checked_on_every_route(self, n, seed, message):
+        op = build_step(extract_splitting(assemble(n, "zero", layout=LAYOUT_BENCH).A, 1), "gj")
+        assert (op.n <= SMALL_ORDER) == (n == 5)  # orders 20 (dense) and 210 (ARPACK)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            spectral_radius(op, mode="power", seed=seed)
+
+    def test_whole_float_seed_is_its_integer(self):
+        op = build_step(extract_splitting(assemble(15, "zero", layout=LAYOUT_BENCH).A, 1), "gj")
+        assert spectral_radius(op, mode="power", seed=3.0) == (
+            spectral_radius(op, mode="power", seed=3))
 
     def test_power_matches_dense_on_separated_fixtures(self, lmat3, spd3):
         cases = [
@@ -670,6 +708,24 @@ class TestComparisonTheorems:
         # entries, so that splitting is not regular and no ordering is asserted.
         if omega < 1.0:
             assert _radius_and_n(A, "gsor", 1, omega)[1].min() < 0.0
+
+    @pytest.mark.parametrize("g", sorted(TABLE_COUNTS))
+    def test_orderings_on_the_table_matrices(self, g):
+        # The 12 matrices of `gsolve table all`, at orders 380-1560, by power-mode radii.
+        # Its omega = 1.5 splittings are not regular, so no ordering is asserted for them.
+        for n in TABLE_COUNTS[g]:
+            A = assemble(n, g, layout=LAYOUT_BENCH).A
+            report = classify(A)
+            assert report.is_m  # a nonsingular M-matrix: the theorems' hypothesis
+            rho = {(method, m): spectral_radius(build_step(extract_splitting(A, m), method),
+                                                mode="power", certificate=report.m)
+                   for method in ("gj", "ggs") for m in (0, 1)}
+            assert all(estimate.reliable for estimate in rho.values())
+            for smaller, larger in ((("ggs", 1), ("gj", 1)), (("gj", 1), ("gj", 0)),
+                                    (("ggs", 1), ("ggs", 0))):
+                low, high = rho[smaller], rho[larger]
+                assert high.value - low.value > low.error_bound + high.error_bound, (
+                    g, n, smaller, larger)
 
 
 class TestPredict:

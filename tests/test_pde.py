@@ -51,6 +51,13 @@ def test_assembled_matrix_exactly_symmetric(layout, g_id):
 
 
 @pytest.mark.parametrize("layout", [LAYOUT_SQUARE, LAYOUT_BENCH])
+def test_whole_float_n_is_its_integer(layout):
+    whole, exact = assemble(3.0, "zero", layout=layout), assemble(3, "zero", layout=layout)
+    assert (whole.A.csr != exact.A.csr).nnz == 0
+    np.testing.assert_array_equal(whole.b, exact.b)
+
+
+@pytest.mark.parametrize("layout", [LAYOUT_SQUARE, LAYOUT_BENCH])
 def test_manufactured_solution(layout):
     problem = assemble(7, "expxy", layout=layout)
     np.testing.assert_array_equal(problem.b, problem.A.csr @ problem.x_exact)
@@ -100,6 +107,9 @@ def test_negative_reaction_classification_recorded():
 def test_invalid_parameters():
     with pytest.raises(ValueError, match="n must be"):
         assemble(1, "zero")
+    for n in (5.5, "5"):
+        with pytest.raises(ValueError, match=f"^grid parameter n={n} is not an integer$"):
+            assemble(n, "zero")
     for g in ("nope", lambda x, y: x + y):
         with pytest.raises(ValueError, match="unknown g"):
             assemble(4, g)
