@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from .engine import IterationConfig, predict, solve, spectral_radius
-from .matrices import DEFAULT_DENSE_LIMIT, SquareMatrix, classify, comparison_matrix, extract_splitting
+from .matrices import (DEFAULT_DENSE_LIMIT, SquareMatrix, classify, comparison_matrix,
+                       extract_splitting, require_integer)
 from .mmio import read_matrix, write_matrix, write_vector
 from .pde import LAYOUT_BENCH, LAYOUTS, assemble
 from .solvers import FactorizationError, build_step, iteration_matrix
@@ -136,21 +137,16 @@ def _cmd_run(args, out) -> int:
              for name in args.method.split(",")]
     source, A, b, x_exact = _load_source(args)
     rows = []
-    failed = False
     for label, config in plans:
         try:
             report = solve(A, b, config, x_exact=x_exact)
+            outcome = (report.iterations, report.converged, report.final_diff_norm,
+                       report.final_error_norm, report.elapsed_seconds, report.note)
         except FactorizationError as err:
-            rows.append((source, label, A.n, config.m, config.omega, 0, False, float("nan"),
-                         None, 0.0, f"factorization failed: {err}"))
-            failed = True
-            continue
-        rows.append((source, label, A.n, config.m, config.omega, report.iterations,
-                     report.converged, report.final_diff_norm, report.final_error_norm,
-                     report.elapsed_seconds, report.note))
-        failed = failed or not report.converged
+            outcome = (0, False, float("nan"), None, 0.0, f"factorization failed: {err}")
+        rows.append((source, label, A.n, config.m, config.omega, *outcome))
     _emit_records(RUN_FIELDS, rows, args.format, out)
-    return 1 if failed else 0
+    return 0 if all(row[6] for row in rows) else 1  # row[6] is "converged"
 
 
 # -- table ----------------------------------------------------------------
@@ -223,8 +219,7 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_rho(args, out) -> int:
     _, config = _method_plan(args.method, args.m, args.omega)
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    require_integer("--seed", args.seed, 0)
     _, A, _, _ = _load_source(args)
     if not args.power and A.n > DEFAULT_DENSE_LIMIT:
         raise ValueError(
@@ -246,7 +241,7 @@ def _cmd_rho(args, out) -> int:
 
 
 def _cmd_export(args, out) -> int:
-    IterationConfig("gj", args.m)  # rejects a negative --m before the source is read
+    require_integer("half-bandwidth m", args.m, 0)  # before the source is read
     source, A, b, x_exact = _load_source(args)
     if args.what in ("rhs", "exact"):
         vector = b if args.what == "rhs" else x_exact
@@ -259,9 +254,7 @@ def _cmd_export(args, out) -> int:
     elif args.what == "comparison":
         result = comparison_matrix(A)
     else:
-        splitting = extract_splitting(A, args.m)
-        result = {"band": splitting.band, "lower": splitting.lower,
-                  "upper": splitting.upper}[args.what]
+        result = getattr(extract_splitting(A, args.m), args.what)  # band, lower or upper
     write_matrix(args.output, result, comment=f"{args.what} of {source}")
     print(f"wrote {args.what} ({result.nnz} entries) to {args.output}", file=out)
     return 0

@@ -33,6 +33,7 @@ from .matrices import (
     gamma,
     is_z_matrix,
     require_integer,
+    require_real_array,
 )
 from .solvers import Method, StepOperator, build_step, iteration_matrix, relaxation_factor
 
@@ -62,7 +63,7 @@ class IterationConfig:
         method = Method.parse(self.method)
         object.__setattr__(self, "method", method)
         tol = float(self.tol) if isinstance(self.tol, Real) else math.nan
-        if not 0 < tol < math.inf:
+        if isinstance(self.tol, bool) or not 0 < tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "max_iter", require_integer("max_iter", self.max_iter, 1))
@@ -94,9 +95,7 @@ class SolveReport:
 
 
 def _finite_array(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
-    if np.iscomplexobj(v):
-        raise ValueError(f"{name} has complex entries")
-    v = np.asarray(v, dtype=np.float64)
+    v = require_real_array(name, v)
     if v.shape != shape:
         raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
     if not np.isfinite(v).all():
@@ -265,16 +264,16 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     """Largest eigenvalue modulus of an iteration matrix.
 
     ``mode="dense"``: ``target`` is an explicit real, finite, square matrix,
-    such as ``iteration_matrix(op)``; returns a float from a dense eigenvalue
-    computation.
+    such as ``iteration_matrix(op)``, not ``op`` itself; returns a float from
+    a dense eigenvalue computation.  Any other target raises ValueError.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
-    x -> M^{-1} N x); returns a :class:`PowerEstimate`.  An empty N part
-    gives radius 0.  Up to order ``SMALL_ORDER`` the radius is the dense one
-    of ``iteration_matrix(target)``; above it ARPACK finds the dominant
-    eigenpair from the start vector drawn with ``seed``, 0 unless given, so
-    every call is deterministic.  ``seed`` must be a whole number >= 0 on
-    every route.
+    x -> M^{-1} N x), else TypeError; returns a :class:`PowerEstimate`.  An
+    empty N part gives radius 0.  Up to order ``SMALL_ORDER`` the radius is
+    the dense one of ``iteration_matrix(target)``; above it ARPACK finds the
+    dominant eigenpair from the start vector drawn with ``seed``, 0 unless
+    given, so every call is deterministic.  ``seed`` must be a whole number
+    >= 0 on every route.
 
     Above ``SMALL_ORDER``, a step operator whose splitting M - N = A is
     certified regular (N >= 0, M a Z-matrix, A certified by
@@ -288,6 +287,8 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     gives ``error_bound`` either way.
     """
     if mode == "dense":
+        if isinstance(target, StepOperator):
+            raise ValueError('a StepOperator needs mode="power"')
         # (k, k) for a target of k rows; a 0-d target is held to (0, 0), so it is refused.
         dense = _finite_array("dense matrix", target, np.shape(target)[:1] * 2 or (0, 0))
         return float(np.max(np.abs(np.linalg.eigvals(dense))))

@@ -8,6 +8,7 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -36,14 +37,14 @@ SPLU_PANEL_SIZE = 1
 class SquareMatrix:
     """Real n-by-n matrix in sparse CSR form.
 
-    ``SquareMatrix(array)`` is the only constructor.  It takes any 2-D array
-    that ``scipy.sparse.csr_array`` accepts (nested lists, dense, COO, CSR,
-    ...) and stores a float64 CSR copy with duplicate coordinates summed
-    (Matrix Market convention), zeros dropped and indices sorted.  It rejects
-    a complex or non-square array, order 0 and NaN or infinite entries, so
-    every instance has a positive order and finite, nonzero entries, one per
-    coordinate.  The identity is ``SquareMatrix(sp.eye_array(n))`` and the
-    dense form ``A.csr.toarray()``.
+    ``SquareMatrix(array)`` is the only constructor.  It takes a scipy sparse
+    array or matrix, or anything numpy reads as a 2-D float64 array (nested
+    lists, dense), and stores a float64 CSR copy with duplicate coordinates
+    summed (Matrix Market convention), zeros dropped and indices sorted.  It
+    rejects a non-array, a complex or non-square array, order 0 and NaN,
+    infinite or missing (``None``) entries, so every instance has a positive
+    order and finite, nonzero entries, one per coordinate.  The identity is
+    ``SquareMatrix(sp.eye_array(n))`` and the dense form ``A.csr.toarray()``.
     """
 
     csr: sp.csr_array
@@ -51,12 +52,13 @@ class SquareMatrix:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.csr):
             raise ValueError("matrix entries must be real, got a complex array")
-        csr = sp.csr_array(self.csr, dtype=np.float64, copy=True)
+        array = self.csr if sp.issparse(self.csr) else require_real_array("matrix", self.csr)
+        if array.ndim != 2 or array.shape[0] != array.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {array.shape}")
+        csr = sp.csr_array(array, dtype=np.float64, copy=True)
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
-        if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {csr.shape}")
         if csr.shape[0] < 1:
             raise ValueError(f"order must be positive, got {csr.shape[0]}")
         if not np.all(np.isfinite(csr.data)):
@@ -115,13 +117,23 @@ class BandedSplitting:
 
 
 def require_integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int; ValueError unless it is a whole number, and ``>= low`` if given."""
-    if not (isinstance(value, (int, np.integer))
-            or isinstance(value, float) and value.is_integer()):
+    """``value`` as an int; ValueError unless a whole number, not a bool, ``>= low`` if given."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) or isinstance(
+            value, (float, np.floating)) and float(value).is_integer()):
         raise ValueError(f"{name}={value} is not an integer")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
+
+
+def require_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array (``None`` entries NaN); ValueError if complex or unreadable."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} has complex entries")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError as err:  # object(), {}, a sequence holding a non-number
+        raise ValueError(f"{name} is not an array of real numbers: {err}") from None
 
 
 def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:

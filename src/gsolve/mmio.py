@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, require_real_array
 
 
 def read_matrix(path: str | Path) -> SquareMatrix:
@@ -41,5 +41,5 @@ def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
-    """Write a vector as whitespace-delimited text, one component per line."""
-    np.savetxt(path, np.asarray(v, dtype=np.float64).reshape(-1), fmt="%.17g")
+    """Write a real vector as whitespace-delimited text, one component per line."""
+    np.savetxt(path, require_real_array("vector", v).reshape(-1), fmt="%.17g")

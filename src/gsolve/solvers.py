@@ -59,7 +59,7 @@ def relaxation_factor(method: Method, omega: float | None) -> float | None:
     if omega is None:
         raise ValueError("gsor requires a relaxation factor omega")
     value = float(omega) if isinstance(omega, Real) else math.nan
-    if value == 0.0 or not math.isfinite(value):
+    if isinstance(omega, bool) or value == 0.0 or not math.isfinite(value):
         raise ValueError(f"omega must be finite and nonzero for gsor, got {omega}")
     return value
 

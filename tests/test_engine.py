@@ -112,7 +112,7 @@ class TestIterationConfig:
         with pytest.raises(ValueError, match="tol"):
             IterationConfig("gj", m=1, tol=tol)
 
-    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), 0.0, 1j])
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), float("-inf"), 0.0, 1j, True])
     def test_non_finite_or_zero_gsor_omega_rejected(self, omega):
         with pytest.raises(ValueError, match="omega must be finite and nonzero for gsor"):
             IterationConfig("gsor", m=1, omega=omega)
@@ -132,6 +132,9 @@ class TestIterationConfig:
         ("max_iter", float("inf"), "max_iter=inf is not an integer"),
         ("m", 1.5, "half-bandwidth m=1.5 is not an integer"),
         ("m", "1", "half-bandwidth m=1 is not an integer"),
+        ("m", True, "half-bandwidth m=True is not an integer"),
+        ("max_iter", True, "max_iter=True is not an integer"),
+        ("tol", True, "tol must be positive and finite, got True"),
         ("tol", 1j, "tol must be positive and finite, got 1j"),
         ("tol", None, "tol must be positive and finite, got None"),
         ("tol", "x", "tol must be positive and finite, got x"),
@@ -146,9 +149,10 @@ class TestIterationConfig:
             solve(SquareMatrix(np.eye(3)), np.ones(3), config)
 
     def test_whole_float_counts_are_stored_as_int(self):
-        config = IterationConfig("gj", m=1.0, max_iter=10.0)
-        assert (config.m, config.max_iter) == (1, 10)
-        assert type(config.m) is int and type(config.max_iter) is int
+        for whole in (float, np.float32):
+            config = IterationConfig("gj", m=whole(1.0), max_iter=whole(10.0))
+            assert (config.m, config.max_iter) == (1, 10)
+            assert type(config.m) is int and type(config.max_iter) is int
 
     def test_tol_is_stored_as_float(self):
         for tol in (1, np.float32(0.5), np.int64(2)):
@@ -298,6 +302,11 @@ class TestSolve:
         with pytest.raises(ValueError, match=rf"^{name} has complex entries"):
             self._solve_without_set_up(name, vec.tolist())
 
+    @pytest.mark.parametrize("name", ["b", "x_exact"])
+    def test_non_array_vector_rejected_before_set_up(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} is not an array of real numbers"):
+            self._solve_without_set_up(name, object())
+
     def test_max_iter_is_respected(self, spd3):
         b = spd3.csr.toarray() @ np.ones(3)
         report = solve(spd3, b, IterationConfig("gj", m=1, max_iter=5))
@@ -348,6 +357,11 @@ class TestSpectralRadius:
         ):
             with pytest.raises(ValueError, match=rf"^dense matrix {message}$"):
                 spectral_radius(target)
+        with pytest.raises(ValueError, match="^dense matrix is not an array of real numbers"):
+            spectral_radius(object())
+        op = build_step(extract_splitting(SquareMatrix(np.eye(2)), 0), "gj")
+        with pytest.raises(ValueError, match='^a StepOperator needs mode="power"$'):
+            spectral_radius(op)
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 2)), mode="magic")
         for target in (object(), lambda v: v):
@@ -358,6 +372,7 @@ class TestSpectralRadius:
         (-1, "seed must be >= 0, got -1"),
         (1.5, "seed=1.5 is not an integer"),
         ("3", "seed=3 is not an integer"),
+        (True, "seed=True is not an integer"),
     ])
     @pytest.mark.parametrize("n", [5, 15])
     def test_seed_is_checked_on_every_route(self, n, seed, message):
@@ -368,8 +383,9 @@ class TestSpectralRadius:
 
     def test_whole_float_seed_is_its_integer(self):
         op = build_step(extract_splitting(assemble(15, "zero", layout=LAYOUT_BENCH).A, 1), "gj")
-        assert spectral_radius(op, mode="power", seed=3.0) == (
-            spectral_radius(op, mode="power", seed=3))
+        want = spectral_radius(op, mode="power", seed=3)
+        for seed in (3.0, np.float32(3.0)):
+            assert spectral_radius(op, mode="power", seed=seed) == want
 
     def test_power_matches_dense_on_separated_fixtures(self, lmat3, spd3):
         cases = [

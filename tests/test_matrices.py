@@ -81,6 +81,17 @@ class TestSquareMatrix:
             with pytest.raises(ValueError, match="must be square"):
                 SquareMatrix(bad)
 
+    @pytest.mark.parametrize("value, message", [
+        (None, r"^matrix must be square, got shape \(\)$"),
+        (5, r"^matrix must be square, got shape \(\)$"),
+        (object(), "^matrix is not an array of real numbers"),
+        ({}, "^matrix is not an array of real numbers"),
+        ([[1.0, None], [None, 2.0]], "^matrix entries must be finite"),  # not diag(1, 2)
+    ], ids=["None", "5", "object", "dict", "missing-entries"])
+    def test_non_array_or_missing_entries_rejected(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            SquareMatrix(value)
+
     @pytest.mark.parametrize("build", [list, np.array, sp.csr_array, sp.coo_matrix],
                              ids=["list", "ndarray", "csr", "coo"])
     def test_complex_entries_rejected(self, build):

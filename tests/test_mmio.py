@@ -93,3 +93,15 @@ def test_vector_round_trip(tmp_path):
     np.testing.assert_array_equal(np.loadtxt(path), v)
     # whitespace-delimited, one component per line
     assert len(path.read_text().split()) == 4
+
+
+@pytest.mark.parametrize("v, message", [
+    (np.array([1 + 1j, 2.0]), "^vector has complex entries$"),
+    (object(), "^vector is not an array of real numbers"),
+], ids=["complex", "object"])
+def test_vector_that_is_not_real_is_refused(tmp_path, v, message):
+    # the float64 cast would drop the imaginary part, or raise numpy's TypeError
+    path = tmp_path / "v.txt"
+    with pytest.raises(ValueError, match=message):
+        write_vector(path, v)
+    assert not path.exists()

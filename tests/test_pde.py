@@ -107,7 +107,7 @@ def test_negative_reaction_classification_recorded():
 def test_invalid_parameters():
     with pytest.raises(ValueError, match="n must be"):
         assemble(1, "zero")
-    for n in (5.5, "5"):
+    for n in (5.5, "5", True):
         with pytest.raises(ValueError, match=f"^grid parameter n={n} is not an integer$"):
             assemble(n, "zero")
     for g in ("nope", lambda x, y: x + y):
