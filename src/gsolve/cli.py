@@ -55,8 +55,8 @@ def _parse_pde_tokens(tokens: list[str]):
         raise ValueError(f"--pde got unknown keys: {', '.join(sorted(unknown))}")
     if "g" not in params or "n" not in params:
         raise ValueError("--pde needs g=<name> and n=<size>")
-    try:
-        n = int(params["n"])
+    try:  # a whole number, read as the library reads it: "5" and "5.0" are 5
+        n = require_integer("--pde n", float(params["n"]))
     except ValueError:
         raise ValueError(f"--pde n must be an integer, got {params['n']!r}") from None
     return params["g"], n, params.get("layout", LAYOUT_BENCH)
@@ -67,7 +67,7 @@ def _load_source(args) -> tuple[str, SquareMatrix, np.ndarray, np.ndarray]:
     if getattr(args, "mtx", None):
         try:
             A = read_matrix(args.mtx)
-        except Exception as err:
+        except (ValueError, OSError) as err:
             raise ValueError(f"cannot read {args.mtx}: {err}") from err
         ones = np.ones(A.n)
         return str(args.mtx), A, A.csr @ ones, ones

@@ -94,15 +94,6 @@ class SolveReport:
         return not self.note
 
 
-def _finite_array(name: str, v, shape: tuple[int, ...]) -> np.ndarray:
-    v = require_real_array(name, v)
-    if v.shape != shape:
-        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
 def _fsum_norm(v: np.ndarray) -> float:
     """2-norm of v from the correctly rounded sum of its rounded squares: no BLAS."""
     try:
@@ -125,13 +116,13 @@ def solve(
     extraction and factorization are timed as ``setup_seconds``, the
     iteration loop as ``elapsed_seconds``.  When ``x_exact`` is supplied the
     2-norm error of the final iterate is reported as ``final_error_norm``.
-    A complex, misshapen or non-finite ``b`` or ``x_exact`` raises ValueError
+    A complex, string, misshapen or non-finite ``b`` or ``x_exact`` raises ValueError
     before set-up.
     """
-    b = _finite_array("b", b, (A.n,))
+    b = require_real_array("b", b, (A.n,))
     x = np.zeros(A.n)
     if x_exact is not None:
-        x_exact = _finite_array("x_exact", x_exact, (A.n,))
+        x_exact = require_real_array("x_exact", x_exact, (A.n,))
     setup_start = time.perf_counter()
     op = build_step(extract_splitting(A, config.m), config.method, config.omega)
     setup = time.perf_counter() - setup_start
@@ -290,7 +281,7 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
         if isinstance(target, StepOperator):
             raise ValueError('a StepOperator needs mode="power"')
         # (k, k) for a target of k rows; a 0-d target is held to (0, 0), so it is refused.
-        dense = _finite_array("dense matrix", target, np.shape(target)[:1] * 2 or (0, 0))
+        dense = require_real_array("dense matrix", target, np.shape(target)[:1] * 2 or (0, 0))
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
     if mode == "power":
         if not isinstance(target, StepOperator):

@@ -41,8 +41,8 @@ class SquareMatrix:
     array or matrix, or anything numpy reads as a 2-D float64 array (nested
     lists, dense), and stores a float64 CSR copy with duplicate coordinates
     summed (Matrix Market convention), zeros dropped and indices sorted.  It
-    rejects a non-array, a complex or non-square array, order 0 and NaN,
-    infinite or missing (``None``) entries, so every instance has a positive
+    rejects a non-array, a complex or non-square array, order 0 and string,
+    NaN, infinite or missing (``None``) entries, so every instance has a positive
     order and finite, nonzero entries, one per coordinate.  The identity is
     ``SquareMatrix(sp.eye_array(n))`` and the dense form ``A.csr.toarray()``.
     """
@@ -61,8 +61,7 @@ class SquareMatrix:
         csr.sort_indices()
         if csr.shape[0] < 1:
             raise ValueError(f"order must be positive, got {csr.shape[0]}")
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("matrix entries must be finite, got NaN or inf")
+        require_real_array("matrix", csr.data)  # a sparse input's NaN or inf, or an overflowed sum
         object.__setattr__(self, "csr", csr)
 
     # -- queries ------------------------------------------------------
@@ -126,14 +125,27 @@ def require_integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
-def require_real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array (``None`` entries NaN); ValueError if complex or unreadable."""
-    if np.iscomplexobj(value):
+def require_real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a finite float64 array, of ``shape`` if given; a float64 array is not copied.
+
+    ValueError if ``value`` is unreadable or has complex, string, NaN, inf
+    or missing (``None``) entries, or another shape.
+    """
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
         raise ValueError(f"{name} has complex entries")
+    if array.dtype.kind in "SU" or array.dtype == object and any(
+            isinstance(x, (str, bytes)) for x in array.flat):
+        raise ValueError(f"{name} has string entries")  # the float64 cast would read "4" as 4.0
     try:
-        return np.asarray(value, dtype=np.float64)
+        array = array.astype(np.float64, copy=False)
     except TypeError as err:  # object(), {}, a sequence holding a non-number
         raise ValueError(f"{name} is not an array of real numbers: {err}") from None
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return array
 
 
 def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:

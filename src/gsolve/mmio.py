@@ -41,5 +41,5 @@ def write_matrix(path: str | Path, A: SquareMatrix, comment: str = "") -> None:
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
-    """Write a real vector as whitespace-delimited text, one component per line."""
+    """Write a finite real vector as whitespace-delimited text, one component per line."""
     np.savetxt(path, require_real_array("vector", v).reshape(-1), fmt="%.17g")

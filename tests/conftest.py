@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from gsolve import gallery
+from gsolve import read_matrix
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -14,14 +14,17 @@ def fixtures_dir():
 
 @pytest.fixture
 def spd3():
-    return gallery.spd_3x3()
+    """Symmetric positive definite; GJ and GGS diverge for m = 1."""
+    return read_matrix(FIXTURES_DIR / "spd3.mtx")
 
 
 @pytest.fixture
 def lmat3():
-    return gallery.l_3x3()
+    """An L-matrix that is not an M-matrix; GJ and GGS diverge for m = 1."""
+    return read_matrix(FIXTURES_DIR / "lmat3.mtx")
 
 
 @pytest.fixture
 def spd4():
-    return gallery.spd_4x4()
+    """Symmetric positive definite; GSOR at m = 2, omega = 1.8 diverges."""
+    return read_matrix(FIXTURES_DIR / "spd4.mtx")

@@ -9,6 +9,7 @@ reaction benchmark matrix (its interior rows are only weakly dominant).
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +21,16 @@ from gsolve import (
     classify,
     extract_splitting,
     iteration_matrix,
+    read_matrix,
     solve,
     spectral_radius,
 )
-from gsolve import gallery
 from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
-SPD3 = gallery.spd_3x3()
-LMAT3 = gallery.l_3x3()
-SPD4 = gallery.spd_4x4()
+SPD3 = read_matrix(Path(__file__).resolve().parents[1] / "fixtures/spd3.mtx")
+LMAT3 = read_matrix(Path(__file__).resolve().parents[1] / "fixtures/lmat3.mtx")
+SPD4 = read_matrix(Path(__file__).resolve().parents[1] / "fixtures/spd4.mtx")
 
 # (matrix, method, m, omega) -> reference spectral radius, 4 d.p.
 RHO_FIXTURES = [

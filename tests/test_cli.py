@@ -167,6 +167,15 @@ class TestRun:
         assert (code, out) == (2, "")
         assert "unsupported field 'complex', need real data" in err
 
+    def test_fault_inside_the_reader_is_not_a_usage_error(self, monkeypatch, fixtures_dir):
+        # only ValueError and OSError mean "cannot read"; anything else is a bug and propagates
+        def faulty_reader(path):
+            raise RuntimeError("reader fault")
+
+        monkeypatch.setattr(gsolve.cli, "read_matrix", faulty_reader)
+        with pytest.raises(RuntimeError, match="^reader fault$"):
+            main(["run", "--mtx", str(fixtures_dir / "identity3.mtx"), "--method", "gj"])
+
     def test_factorization_failure_keeps_csv_parseable(self, capsys, tmp_path):
         path = tmp_path / "hollow.mtx"
         path.write_text(
@@ -199,6 +208,18 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--pde", "g=zero", "n=4.5", "--method", "gj")
         assert code == 2
         assert "--pde n must be an integer, got '4.5'" in err
+        code, _, err = run_cli(capsys, "run", "--pde", "g=zero", "n=abc", "--method", "gj")
+        assert code == 2
+        assert "--pde n must be an integer, got 'abc'" in err
+
+    def test_pde_n_is_read_as_the_library_reads_it(self, capsys):
+        # assemble(5.0, ...) takes the whole number 5, and so does --pde n=5.0
+        runs = [run_cli(capsys, "run", "--pde", "g=zero", n, "--method", "gj", "--format", "csv")
+                for n in ("n=5", "n=5.0")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        rows = [[{**row, "seconds": ""} for row in parse_csv(out)] for _, out, _ in runs]
+        assert rows[0] == rows[1]
+        assert rows[0][0]["source"] == "pde:g=zero:n=5:layout=bench"
 
     @pytest.mark.parametrize("tokens, key", [
         (("g=zero", "g=expxy", "n=3"), "g"),
@@ -480,7 +501,7 @@ class TestClassify:
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-#: A README gallery line: ``gsolve rho --mtx <file> <options>   # <printed value>``.
+#: A README radius line: ``gsolve rho --mtx <file> <options>   # <printed value>``.
 README_RHO_LINE = re.compile(r"^gsolve (rho --mtx .*?)\s+# (\S+)$")
 
 
@@ -508,8 +529,14 @@ def test_readme_examples_run_as_written(capsys, monkeypatch, tmp_path):
         assert want == "" or got == want, (got, want)
 
 
+def test_readme_layout_lists_every_module():
+    listed = {line.split()[0] for line in _readme_block("## Layout") if line.startswith("  ")}
+    modules = {path.name for path in (README.parent / "src" / "gsolve").glob("*.py")}
+    assert listed == modules - {"__init__.py"}
+
+
 class TestRho:
-    def test_readme_gallery_values(self, capsys, monkeypatch):
+    def test_readme_radius_values(self, capsys, monkeypatch):
         cases = [(match[1].split(), match[2]) for match in
                  map(README_RHO_LINE.match, README.read_text().splitlines()) if match]
         assert len(cases) == 8

@@ -224,7 +224,7 @@ class TestSolve:
         ("gj", 1, None), ("gsor", 1, 1.5), ("gsor", 0, 1.5),
     ], ids=["ldlt", "permuted", "superlu"])
     def test_caller_vectors_are_only_read(self, method, m, omega):
-        # _finite_array hands the loop the caller's own float64 arrays
+        # require_real_array hands the loop the caller's own float64 arrays
         problem = assemble(6, "negexp4xy", layout=LAYOUT_BENCH)
         rng = np.random.default_rng(3)
         for A in (problem.A, random_sdd_matrix(problem.A.n, rng)):  # N in DIA and in CSR
@@ -306,6 +306,14 @@ class TestSolve:
     def test_non_array_vector_rejected_before_set_up(self, name):
         with pytest.raises(ValueError, match=rf"^{name} is not an array of real numbers"):
             self._solve_without_set_up(name, object())
+
+    @pytest.mark.parametrize("name", ["b", "x_exact", "dense matrix"])
+    @pytest.mark.parametrize("text", [["3", "3", "3", "3"], [b"3", b"3", b"3", b"3"]],
+                             ids=["str", "bytes"])
+    def test_string_vector_rejected_before_set_up(self, name, text):
+        # numpy would read "3" as 3.0, and b = ["3", ...] would be solved
+        with pytest.raises(ValueError, match=rf"^{name} has string entries$"):
+            self._solve_without_set_up(name, text)
 
     def test_max_iter_is_respected(self, spd3):
         b = spd3.csr.toarray() @ np.ones(3)

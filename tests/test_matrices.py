@@ -82,12 +82,15 @@ class TestSquareMatrix:
                 SquareMatrix(bad)
 
     @pytest.mark.parametrize("value, message", [
-        (None, r"^matrix must be square, got shape \(\)$"),
+        (None, "^matrix has non-finite entries$"),  # a missing entry, read as NaN
         (5, r"^matrix must be square, got shape \(\)$"),
         (object(), "^matrix is not an array of real numbers"),
         ({}, "^matrix is not an array of real numbers"),
-        ([[1.0, None], [None, 2.0]], "^matrix entries must be finite"),  # not diag(1, 2)
-    ], ids=["None", "5", "object", "dict", "missing-entries"])
+        ([[1.0, None], [None, 2.0]], "^matrix has non-finite entries$"),  # not diag(1, 2)
+        ([["4", "-1"], ["-1", "4"]], "^matrix has string entries$"),  # not read as numbers
+        ([[b"4", b"-1"], [b"-1", b"4"]], "^matrix has string entries$"),
+        ([[4.0, "-1"], [None, 4.0]], "^matrix has string entries$"),
+    ], ids=["None", "5", "object", "dict", "missing-entries", "str", "bytes", "mixed"])
     def test_non_array_or_missing_entries_rejected(self, value, message):
         with pytest.raises(ValueError, match=message):
             SquareMatrix(value)
