@@ -254,17 +254,19 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
                     certificate: MCertificate | None = None):
     """Largest eigenvalue modulus of an iteration matrix.
 
+    Arguments are checked first, by ValueError: ``mode``, ``seed`` (whole, >= 0),
+    ``target`` against the mode, then ``certificate`` (None or an MCertificate).
+
     ``mode="dense"``: ``target`` is an explicit real, finite, square matrix,
     such as ``iteration_matrix(op)``, not ``op`` itself; returns a float from
-    a dense eigenvalue computation.  Any other target raises ValueError.
+    a dense eigenvalue computation.
 
     ``mode="power"``: ``target`` is a :class:`StepOperator` (the operator
-    x -> M^{-1} N x), else TypeError; returns a :class:`PowerEstimate`.  An
-    empty N part gives radius 0.  Up to order ``SMALL_ORDER`` the radius is
-    the dense one of ``iteration_matrix(target)``; above it ARPACK finds the
-    dominant eigenpair from the start vector drawn with ``seed``, 0 unless
-    given, so every call is deterministic.  ``seed`` must be a whole number
-    >= 0 on every route.
+    x -> M^{-1} N x); returns a :class:`PowerEstimate`.  An empty N part
+    gives radius 0.  Up to order ``SMALL_ORDER`` the radius is the dense one
+    of ``iteration_matrix(target)``; above it ARPACK finds the dominant
+    eigenpair from the start vector drawn with ``seed``, so every call is
+    deterministic.
 
     Above ``SMALL_ORDER``, a step operator whose splitting M - N = A is
     certified regular (N >= 0, M a Z-matrix, A certified by
@@ -277,25 +279,26 @@ def spectral_radius(target, mode: str = "dense", *, seed: int = 0,
     operator is iterated as H (:func:`_operator_radius`), whose residual
     gives ``error_bound`` either way.
     """
+    if mode not in ("dense", "power"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
+    seed = require_integer("seed", seed, 0)
+    if (mode == "power") != isinstance(target, StepOperator):
+        raise ValueError('a StepOperator needs mode="power"' if mode == "dense"
+                         else "power mode needs a StepOperator")
+    if not (certificate is None or isinstance(certificate, MCertificate)):
+        raise ValueError(f"certificate must be an MCertificate, got {type(certificate).__name__}")
     if mode == "dense":
-        if isinstance(target, StepOperator):
-            raise ValueError('a StepOperator needs mode="power"')
+        dense = require_real_array("dense matrix", target)  # read first: a ragged target is named
         # (k, k) for a target of k rows; a 0-d target is held to (0, 0), so it is refused.
-        dense = require_real_array("dense matrix", target, np.shape(target)[:1] * 2 or (0, 0))
+        dense = require_real_array("dense matrix", dense, dense.shape[:1] * 2 or (0, 0))
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
-    if mode == "power":
-        if not isinstance(target, StepOperator):
-            raise TypeError("power mode needs a StepOperator")
-        seed = require_integer("seed", seed, 0)
-        op = target
-        if op.n_part.nnz == 0:
-            return PowerEstimate(0.0, 0.0, 0)
-        if op.n <= SMALL_ORDER:
-            H = iteration_matrix(op)
-            bound = np.finfo(np.float64).eps * float(np.linalg.norm(H, 1))
-            return PowerEstimate(spectral_radius(H), bound, op.n)
-        return _operator_radius(op, seed, _regular_factor(op, certificate))
-    raise ValueError(f"unknown mode {mode!r}; expected 'dense' or 'power'")
+    if target.n_part.nnz == 0:
+        return PowerEstimate(0.0, 0.0, 0)
+    if target.n <= SMALL_ORDER:
+        H = iteration_matrix(target)
+        bound = float(np.finfo(np.float64).eps * np.linalg.norm(H, 1))
+        return PowerEstimate(spectral_radius(H), bound, target.n)
+    return _operator_radius(target, seed, _regular_factor(target, certificate))
 
 
 # -- theorem-based convergence prediction --------------------------------

@@ -584,21 +584,13 @@ class TestRho:
         assert "reliable=yes" in out
         assert out.startswith("rho: 2.8689")
 
-    def test_dense_limit_error_suggests_power(self, capsys):
-        code, _, err = run_cli(capsys, "rho", "--pde", "g=zero", "n=46", "--method", "gj")
-        assert code == 2
-        assert "order 2070 exceeds dense limit 2000" in err
-        assert "--power" in err
-
-    def test_dense_limit_is_checked_before_the_factorization(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_step ran before the order check")
-
-        monkeypatch.setattr(gsolve.cli, "build_step", refuse)
-        code, _, err = run_cli(capsys, "rho", "--pde", "g=zero", "n=46", "--method", "gj")
-        assert code == 2
-        assert "order 2070 exceeds dense limit 2000" in err
-        assert "--power" in err
+    def test_power_route_above_dense_limit(self, capsys):
+        # order 2070 is above DEFAULT_DENSE_LIMIT, where only the power route runs
+        argv = ("rho", "--pde", "g=zero", "n=46", "--method", "gj")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("rho: ") and " mode=power reliable=yes " in out
+        assert run_cli(capsys, *argv, "--power") == (0, out, "")
 
     def test_power_without_seed_is_deterministic(self, capsys):
         argv = ("rho", "--pde", "g=zero", "n=20", "--method", "gsor", "--m", "1",

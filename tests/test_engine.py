@@ -306,6 +306,8 @@ class TestSolve:
     def test_non_array_vector_rejected_before_set_up(self, name):
         with pytest.raises(ValueError, match=rf"^{name} is not an array of real numbers"):
             self._solve_without_set_up(name, object())
+        with pytest.raises(ValueError, match=rf"^{name} is not an array of real numbers: "):
+            self._solve_without_set_up(name, [[1.0], [2.0, 3.0]])  # ragged
 
     @pytest.mark.parametrize("name", ["b", "x_exact", "dense matrix"])
     @pytest.mark.parametrize("text", [["3", "3", "3", "3"], [b"3", b"3", b"3", b"3"]],
@@ -314,6 +316,31 @@ class TestSolve:
         # numpy would read "3" as 3.0, and b = ["3", ...] would be solved
         with pytest.raises(ValueError, match=rf"^{name} has string entries$"):
             self._solve_without_set_up(name, text)
+
+    def test_norm_within_the_window_of_tol_is_decided_by_fsum(self):
+        # tol is the ddot norm of step 3's difference, so that norm lies within
+        # gamma_{n+2} * tol of tol, where BLAS orders may disagree: _fsum_norm decides it
+        problem = assemble(2, "zero")  # order 4
+        op = build_step(extract_splitting(problem.A, 1), "gj")
+        x = np.zeros(problem.A.n)
+        for _ in range(3):
+            x_next = op.step(x, problem.b)
+            x, d = x_next, x_next - x
+        tol = math.sqrt(d.dot(d))
+        fsum = gsolve.engine._fsum_norm
+        config = IterationConfig("gj", m=1, tol=tol)
+        with mock.patch.object(gsolve.engine, "_fsum_norm", wraps=fsum) as spy:
+            report = solve(problem.A, problem.b, config)
+        assert spy.call_count == 2  # step 3's norm, then the reported final norm
+        np.testing.assert_array_equal(spy.call_args_list[0].args[0], d)
+        assert report.iterations == (3 if fsum(d) <= tol else 4)
+        # an fsum norm above tol carries the solve past step 3
+        with mock.patch.object(gsolve.engine, "_fsum_norm", side_effect=[2 * tol, 0.0]):
+            assert solve(problem.A, problem.b, config).iterations == 4
+
+    def test_fsum_norm_of_an_overflowing_sum_is_inf(self):
+        # each square, 1.69e308, is finite; their sum is not
+        assert gsolve.engine._fsum_norm(np.full(2, 1.3e154)) == math.inf
 
     def test_max_iter_is_respected(self, spd3):
         b = spd3.csr.toarray() @ np.ones(3)
@@ -362,6 +389,7 @@ class TestSpectralRadius:
             (np.float64(1.0), r"has shape \(\), expected \(0, 0\)"),
             (np.array([[1j]]), "has complex entries"),
             (np.array([[np.nan]]), "has non-finite entries"),
+            ([[1.0], [2.0, 3.0]], "is not an array of real numbers: .*"),  # ragged
         ):
             with pytest.raises(ValueError, match=rf"^dense matrix {message}$"):
                 spectral_radius(target)
@@ -373,7 +401,7 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.zeros((2, 2)), mode="magic")
         for target in (object(), lambda v: v):
-            with pytest.raises(TypeError, match="StepOperator"):
+            with pytest.raises(ValueError, match="StepOperator"):
                 spectral_radius(target, mode="power")
 
     @pytest.mark.parametrize("seed, message", [
@@ -388,6 +416,31 @@ class TestSpectralRadius:
         assert (op.n <= SMALL_ORDER) == (n == 5)  # orders 20 (dense) and 210 (ARPACK)
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             spectral_radius(op, mode="power", seed=seed)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            spectral_radius(iteration_matrix(op), seed=seed)
+
+    @pytest.mark.parametrize("n", [5, 15])  # orders 20 (dense route) and 210 (ARPACK)
+    def test_every_refusal_is_a_value_error_at_every_order(self, n):
+        A = assemble(n, "zero", layout=LAYOUT_BENCH).A
+        op = build_step(extract_splitting(A, 1), "gj")
+        H = iteration_matrix(op)
+        refusals = [
+            ((op,), {}, 'a StepOperator needs mode="power"'),
+            ((H, "power"), {}, "power mode needs a StepOperator"),
+            ((op, "magic"), {}, "unknown mode 'magic'; expected 'dense' or 'power'"),
+            ((op, "power"), {"seed": -1}, "seed must be >= 0, got -1"),
+            ((H,), {"seed": -1}, "seed must be >= 0, got -1"),
+        ]
+        for certificate in (object(), tuple(certify_m(A))):
+            name = type(certificate).__name__
+            for args in ((op, "power"), (H,)):
+                refusals.append((args, {"certificate": certificate},
+                                 f"certificate must be an MCertificate, got {name}"))
+        for args, kwargs, message in refusals:
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                spectral_radius(*args, **kwargs)
+        estimate = spectral_radius(op, mode="power", certificate=certify_m(A))
+        assert estimate.reliable and type(estimate.error_bound) is float
 
     def test_whole_float_seed_is_its_integer(self):
         op = build_step(extract_splitting(assemble(15, "zero", layout=LAYOUT_BENCH).A, 1), "gj")

@@ -90,7 +90,8 @@ class TestSquareMatrix:
         ([["4", "-1"], ["-1", "4"]], "^matrix has string entries$"),  # not read as numbers
         ([[b"4", b"-1"], [b"-1", b"4"]], "^matrix has string entries$"),
         ([[4.0, "-1"], [None, 4.0]], "^matrix has string entries$"),
-    ], ids=["None", "5", "object", "dict", "missing-entries", "str", "bytes", "mixed"])
+        ([[1.0, 2.0], [3.0]], "^matrix is not an array of real numbers: "),
+    ], ids=["None", "5", "object", "dict", "missing-entries", "str", "bytes", "mixed", "ragged"])
     def test_non_array_or_missing_entries_rejected(self, value, message):
         with pytest.raises(ValueError, match=message):
             SquareMatrix(value)
@@ -100,7 +101,7 @@ class TestSquareMatrix:
     def test_complex_entries_rejected(self, build):
         # casting to float64 would drop the imaginary part and leave the identity
         for dense in ([[1 + 2j, 0], [0, 1]], np.eye(2, dtype=complex)):
-            with pytest.raises(ValueError, match="must be real"):
+            with pytest.raises(ValueError, match="^matrix has complex entries$"):
                 SquareMatrix(build(dense))
 
     def test_constructor_takes_any_square_array(self):

@@ -98,7 +98,8 @@ def test_vector_round_trip(tmp_path):
     (["1"], "^vector has string entries$"),
     (np.array([1.0, np.nan]), "^vector has non-finite entries$"),
     ([np.inf], "^vector has non-finite entries$"),
-], ids=["complex", "object", "string", "nan", "inf"])
+    ([[1.0], [2.0, 3.0]], "^vector is not an array of real numbers: "),
+], ids=["complex", "object", "string", "nan", "inf", "ragged"])
 def test_vector_that_is_not_real_is_refused(tmp_path, v, message):
     # the float64 cast would drop the imaginary part, read '1' as 1.0 or raise numpy's TypeError
     path = tmp_path / "v.txt"
