@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import SquareMatrix
+from gsolve import SquareMatrix
 
 
 def random_sdd_matrix(n: int, rng: np.random.Generator) -> SquareMatrix:

@@ -25,7 +25,7 @@ from gsolve import (
     solve,
     spectral_radius,
 )
-from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.pde import LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 SPD3 = read_matrix(Path(__file__).resolve().parents[1] / "fixtures/spd3.mtx")

@@ -34,7 +34,7 @@ from gsolve import (
 )
 from gsolve.cli import main
 from gsolve.engine import SMALL_ORDER, TAG_OVERRELAXED_M, _operator_radius, _regular_factor
-from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m, positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUTS, assemble
 from gsolve.solvers import TridiagonalLDLT

@@ -1,7 +1,7 @@
 import numpy as np
 
 from gsolve import comparison_matrix, is_h_matrix, is_m_matrix, is_sdd
-from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 
 
 def test_sdd_generator():

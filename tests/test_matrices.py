@@ -23,7 +23,7 @@ from gsolve import (
     is_z_matrix,
     solve,
 )
-from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import MCertificate, certify_m, positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 

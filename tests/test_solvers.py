@@ -15,7 +15,7 @@ from gsolve import (
     solve,
     spectral_radius,
 )
-from gsolve.generators import random_h_matrix, random_m_matrix, random_sdd_matrix
+from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
 from gsolve.matrices import certify_m
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUTS, assemble
 from gsolve.solvers import PermutedLU, TridiagonalLDLT, _dissection_order
