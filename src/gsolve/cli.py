@@ -210,8 +210,8 @@ def _cmd_classify(args, out) -> int:
         print(f"predict: method={label} m={config.m} omega={_fmt(config.omega)}",
               file=out)
         sources = ", ".join(verdict.guarantee_source) or "none"
-        print(f"guaranteed: {_fmt(verdict.guaranteed)} ({sources})", file=out)
-        rho = "unavailable" if verdict.rho_estimate is None else f"{verdict.rho_estimate:.6g}"
+        print(f"guaranteed: {_fmt(bool(verdict.guarantee_source))} ({sources})", file=out)
+        rho = f"{verdict.radius.value:.6g}" if verdict.radius.reliable else "unavailable"
         print(f"rho: {rho}", file=out)
         print(f"predicted_converges: {_tristate(verdict.predicted_converges)}", file=out)
     return 0

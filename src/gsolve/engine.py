@@ -310,27 +310,22 @@ TAG_OVERRELAXED_M = "M+GSOR(overrelaxed)"
 class ConvergenceVerdict:
     """Outcome of matching (matrix class, method, omega) against the theorems.
 
-    ``guarantee_source`` tags each convergence theorem that applies, and
-    ``rho_estimate`` is the operator spectral radius of the iteration
-    matrix (see :class:`PowerEstimate`), at any order, and ``None`` when
-    ARPACK did not converge.  Both verdicts are derived from these two
-    fields: ``guaranteed`` is True iff at least one theorem applies, and
-    ``predicted_converges`` is ``rho < 1`` when the radius is known, the
-    theorem verdict when one applies, and ``None`` otherwise.
+    ``guarantee_source`` tags each convergence theorem that applies; every
+    tag rests on an exact certificate, so one tag proves convergence.
+    ``radius`` is the :class:`PowerEstimate` of the iteration matrix's
+    spectral radius that ``predict`` computed, at any order.
+    ``predicted_converges`` is True when a theorem applies, else
+    ``radius.value < 1`` when the radius is reliable, and ``None`` otherwise.
     """
 
-    rho_estimate: float | None
+    radius: PowerEstimate
     guarantee_source: tuple[str, ...] = ()
 
     @property
-    def guaranteed(self) -> bool:
-        return bool(self.guarantee_source)
-
-    @property
     def predicted_converges(self) -> bool | None:
-        if self.rho_estimate is not None:
-            return bool(self.rho_estimate < 1.0)
-        return True if self.guarantee_source else None
+        if self.guarantee_source:
+            return True
+        return bool(self.radius.value < 1.0) if self.radius.reliable else None
 
 
 def predict(
@@ -338,7 +333,7 @@ def predict(
     config: IterationConfig,
     report: ClassificationReport | None = None,
 ) -> ConvergenceVerdict:
-    """Look up the convergence guarantees that A's classes give the method.
+    """Tag the convergence theorems that A's classes give the method; keep rho(H)'s estimate.
 
     Guarantees: SDD, M, and H matrices converge under GJ and GGS for any
     bandwidth; the same classes converge under GSOR for omega in (0, 1];
@@ -381,6 +376,6 @@ def predict(
                 - splitting.upper.csr)).witness is not None):
         tags.append(TAG_OVERRELAXED_M)
 
-    estimate = spectral_radius(build_step(splitting, method, omega), mode="power",
-                               certificate=report.m)
-    return ConvergenceVerdict(estimate.value if estimate.reliable else None, tuple(tags))
+    radius = spectral_radius(build_step(splitting, method, omega), mode="power",
+                             certificate=report.m)
+    return ConvergenceVerdict(radius, tuple(tags))

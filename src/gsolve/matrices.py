@@ -177,14 +177,16 @@ def extract_splitting(A: SquareMatrix, m: int) -> BandedSplitting:
 
 
 def comparison_matrix(A: SquareMatrix) -> SquareMatrix:
-    """|diagonal|, negated absolute off-diagonal: the associated Z-matrix.
+    """|diagonal|, negated absolute off-diagonal: the associated Z-matrix <A>.
 
     Idempotent, and exactly the identity map on Z-matrices with nonnegative
-    diagonal.
+    diagonal, for which it returns A itself.
     """
     coo = A.csr.tocoo()
     on_diag = coo.row == coo.col
     data = np.where(on_diag, np.abs(coo.data), -np.abs(coo.data))
+    if np.array_equal(data, coo.data):
+        return A
     return SquareMatrix(sp.coo_array((data, (coo.row, coo.col)), shape=(A.n, A.n)))
 
 
@@ -192,11 +194,10 @@ def comparison_matrix(A: SquareMatrix) -> SquareMatrix:
 
 
 def is_sdd(A: SquareMatrix) -> bool:
-    """Strict row diagonal dominance: |a_ii| > sum of |a_ij|, j != i."""
-    coo = A.csr.tocoo()
-    off = coo.row != coo.col
-    offdiag = np.bincount(coo.row[off], weights=np.abs(coo.data[off]), minlength=A.n)
-    return bool(np.all(np.abs(A.csr.diagonal()) > offdiag))
+    """Strict row diagonal dominance, |a_ii| > sum of |a_ij| over j != i, decided exactly:
+    <A> 1 > 0 (:func:`comparison_matrix`) by the sign test of the M and H certificates,
+    :func:`positive_witness`.  A row within 2 gamma_k of weak dominance is not SDD."""
+    return positive_witness(comparison_matrix(A), np.ones(A.n))[0] is not None
 
 
 def is_z_matrix(A: SquareMatrix) -> bool:
@@ -320,8 +321,8 @@ class ClassificationReport:
     """Class memberships with their certificates.
 
     ``m`` and ``h`` are the :func:`certify_m` certificates of A and of its
-    comparison matrix, one object when A is a Z-matrix with nonnegative
-    diagonal; a separate ``h`` keeps no factor.  ``is_spd`` is ``None``
+    comparison matrix, one object when :func:`comparison_matrix` returns A
+    itself; a separate ``h`` keeps no factor.  ``is_spd`` is ``None``
     (undetermined) above order ``DEFAULT_DENSE_LIMIT``; the other predicates
     are always decided.
     """
@@ -346,15 +347,16 @@ class ClassificationReport:
 def classify(A: SquareMatrix) -> ClassificationReport:
     """Run every class predicate and collect certificates and notes.
 
-    SPD is decided up to order ``DEFAULT_DENSE_LIMIT``: a certified M-matrix
-    is SPD iff it is symmetric (Berman & Plemmons, ch. 6), any other A by :func:`is_spd`.
+    <A> is built once, before A is factorized: SDD is :func:`is_sdd`'s test on it, and
+    A's M certificate serves for H when <A> is A.  SPD is decided up to order
+    ``DEFAULT_DENSE_LIMIT``: a certified M-matrix is SPD iff it is symmetric
+    (Berman & Plemmons, ch. 6), any other A by :func:`is_spd`.
     """
+    comparison = comparison_matrix(A)
+    sdd = positive_witness(comparison, np.ones(A.n))[0] is not None  # is_sdd(A), one scan
     m = certify_m(A)
     z = is_z_matrix(A)
-    diag = A.csr.diagonal()
-    # a Z-matrix with nonnegative diagonal is its own comparison matrix
-    h = (m if z and np.all(diag >= 0.0)
-         else certify_m(comparison_matrix(A))._replace(lu=None))
+    h = m if comparison is A else certify_m(comparison)._replace(lu=None)
     notes = [f"{name}: {c.note}" for name, c in (("m", m), ("h (comparison matrix)", h))
              if c.note]
 
@@ -366,14 +368,13 @@ def classify(A: SquareMatrix) -> ClassificationReport:
             f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
         )
 
-    sdd = is_sdd(A)
     if sdd and h.witness is None:
         notes.append("cross-check violated: SDD matrix failed H certification")
 
     return ClassificationReport(
         is_sdd=sdd,
         is_z=z,
-        is_l=z and bool(np.all(diag > 0.0)),
+        is_l=z and bool(np.all(A.csr.diagonal() > 0.0)),
         is_spd=spd,
         m=m,
         h=h,

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 import gsolve.cli
 import gsolve.engine
-from gsolve import classify, comparison_matrix, extract_splitting, read_matrix
+from gsolve import (SquareMatrix, classify, comparison_matrix, extract_splitting, is_sdd,
+                    read_matrix, write_matrix)
 from gsolve.cli import main
 
 
@@ -402,6 +404,24 @@ class TestClassify:
         assert "guaranteed: true" in out
         assert "M+GSOR(0<omega<=1)" in out
         assert "predicted_converges: true" in out
+
+    def test_predict_claims_no_sdd_from_rounded_row_sums(self, capsys, tmp_path):
+        # Ten stored -0.1 entries sum to 1 + 2^-54 exactly but to 1 - 2^-53 in
+        # floating point, so the unit diagonal only looks dominant, and
+        # rho(H_GJ) = 1 + 2^-54.
+        a = np.full((11, 11), -0.1)
+        np.fill_diagonal(a, 1.0)
+        assert sum(Fraction(-x) for x in a[0, 1:]) == 1 + Fraction(1, 2**54)
+        A = SquareMatrix(a)
+        assert not is_sdd(A)
+        assert not any("cross-check violated" in note for note in classify(A).notes)
+        path = tmp_path / "rounded.mtx"
+        write_matrix(path, A)
+        code, out, _ = run_cli(capsys, "classify", "--mtx", str(path), "--predict", "gj",
+                               "--m", "0")
+        assert code == 0
+        assert "sdd: false\n" in out
+        assert "guaranteed: false (none)\n" in out
 
     @pytest.mark.parametrize("n", [6, 10, 12])
     def test_predict_past_omega_opt_on_small_grids(self, capsys, n):

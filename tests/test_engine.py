@@ -695,7 +695,7 @@ class TestRegularSplittingRoute:
                 mock.patch.object(gsolve.solvers, "splu", wraps=splu) as m_spy:
             if argv is None:
                 A = assemble(40, "zero", layout=LAYOUT_BENCH).A
-                assert predict(A, IterationConfig("gj", 1)).rho_estimate is not None
+                assert predict(A, IterationConfig("gj", 1)).radius.reliable
             else:
                 assert main(list(argv)) == 0
         specs = [c.kwargs["permc_spec"] for c in a_spy.call_args_list + m_spy.call_args_list]
@@ -808,23 +808,21 @@ class TestComparisonTheorems:
 class TestPredict:
     def test_spd_counterexample(self, spd3):
         verdict = predict(spd3, IterationConfig("gj", m=1))
-        assert not verdict.guaranteed
         assert verdict.guarantee_source == ()
-        assert verdict.rho_estimate == pytest.approx(1.5883, abs=5e-5)
+        assert verdict.radius.value == pytest.approx(1.5883, abs=5e-5)
         assert verdict.predicted_converges is False
 
     def test_m_matrix_with_underrelaxed_gsor(self):
         problem = assemble(10, "zero")
         verdict = predict(problem.A, IterationConfig("gsor", m=1, omega=0.8))
-        assert verdict.guaranteed
         assert "M+GSOR(0<omega<=1)" in verdict.guarantee_source
         assert verdict.predicted_converges is True
-        assert verdict.rho_estimate is not None and verdict.rho_estimate < 1
+        assert verdict.radius.reliable and verdict.radius.value < 1
 
     def test_l_matrix_converges_without_guarantee(self, lmat3):
         verdict = predict(lmat3, IterationConfig("gsor", m=1, omega=0.4))
-        assert not verdict.guaranteed
-        assert verdict.rho_estimate == pytest.approx(0.6, abs=5e-5)
+        assert verdict.guarantee_source == ()
+        assert verdict.radius.value == pytest.approx(0.6, abs=5e-5)
         assert verdict.predicted_converges is True
 
     def test_sdd_tags_for_gj_and_ggs(self):
@@ -851,7 +849,7 @@ class TestPredict:
             verdict = predict(A, IterationConfig("gsor", m=1, omega=omega))
             if gate < 1.0 / omega:
                 assert TAG_OVERRELAXED_M in verdict.guarantee_source
-                assert verdict.rho_estimate < 1.0
+                assert verdict.radius.value < 1.0
             else:
                 assert TAG_OVERRELAXED_M not in verdict.guarantee_source
 
@@ -870,7 +868,7 @@ class TestPredict:
                 verdict = predict(A, IterationConfig("gsor", m=1, omega=omega), report=report)
             assert (TAG_OVERRELAXED_M in verdict.guarantee_source) == covered, omega
             assert margin_spy.call_count == 1 and m_spy.call_count == 0
-            assert verdict.rho_estimate == pytest.approx(abs(omega - 1.0), abs=1e-12)
+            assert verdict.radius.value == pytest.approx(abs(omega - 1.0), abs=1e-12)
 
     def test_overrelaxed_certificate_factorizes_the_margin_only(self):
         A = assemble(40, "zero", layout=LAYOUT_BENCH).A
@@ -934,17 +932,19 @@ class TestPredict:
 
     def test_guaranteed_is_derived_from_the_sources(self):
         assert [f.name for f in dataclasses.fields(ConvergenceVerdict)] == [
-            "rho_estimate", "guarantee_source"]
-        assert ConvergenceVerdict(0.5, ("M+GJ",)).guaranteed
-        assert not ConvergenceVerdict(0.5).guaranteed
+            "radius", "guarantee_source"]
+        half = PowerEstimate(0.5, 0.0, 1)
+        assert not hasattr(ConvergenceVerdict(half), "guaranteed")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ConvergenceVerdict(half).radius = PowerEstimate(0.2, 0.0, 1)
+        # a theorem decides first; else a reliable rho; else undetermined
+        for rho, tags, want in ((1.2, ("M+GJ",), True), (math.nan, ("M+GJ",), True),
+                                (0.5, (), True), (1.0, (), False), (1.2, (), False),
+                                (math.nan, (), None)):
+            verdict = ConvergenceVerdict(PowerEstimate(rho, 0.0, 1), tags)
+            assert verdict.predicted_converges is want, (rho, tags)
         with pytest.raises(AttributeError):
-            ConvergenceVerdict(0.5).guaranteed = True
-        # rho decides when known; else a theorem's guarantee; else undetermined
-        assert ConvergenceVerdict(1.2, ("M+GJ",)).predicted_converges is False
-        assert ConvergenceVerdict(None, ("M+GJ",)).predicted_converges is True
-        assert ConvergenceVerdict(None).predicted_converges is None
-        with pytest.raises(AttributeError):
-            ConvergenceVerdict(0.5).predicted_converges = False
+            ConvergenceVerdict(half).predicted_converges = False
 
     @pytest.mark.parametrize(
         "config",
@@ -964,27 +964,52 @@ class TestPredict:
             problem.A, IterationConfig("ggs", m=1), report=spd_undetermined(problem.A)
         )
         want = spectral_radius(_explicit_h(problem.A, "ggs", 1))
-        assert verdict.rho_estimate == pytest.approx(want, rel=1e-10)
-        assert verdict.guaranteed
+        assert verdict.radius.value == pytest.approx(want, rel=1e-10)
+        assert verdict.guarantee_source
         assert verdict.predicted_converges is True
 
         verdict = predict(spd3, IterationConfig("gj", m=1), report=spd_undetermined(spd3))
-        assert verdict.rho_estimate == pytest.approx(1.5883, abs=5e-5)
-        assert not verdict.guaranteed
+        assert verdict.radius.value == pytest.approx(1.5883, abs=5e-5)
+        assert verdict.guarantee_source == ()
         assert verdict.predicted_converges is False
+
+    @pytest.mark.parametrize("n, config", [
+        (10, IterationConfig("ggs", m=1)),  # order 90: the dense route
+        (40, IterationConfig("gsor", m=1, omega=1.5)),  # order 1560: ARPACK
+    ])
+    def test_verdict_keeps_the_radius_it_was_decided_from(self, n, config):
+        A = assemble(n, "zero", layout=LAYOUT_BENCH).A
+        report = classify(A)
+        want = spectral_radius(build_step(extract_splitting(A, config.m), config.method,
+                                          config.omega), mode="power", certificate=report.m)
+        radius = predict(A, config, report=report).radius
+        assert want.reliable and (A.n <= SMALL_ORDER) == (want.steps == A.n)
+        assert dataclasses.astuple(radius) == dataclasses.astuple(want)
+
+    def test_a_theorem_decides_before_the_radius(self, monkeypatch, capsys):
+        monkeypatch.setattr(gsolve.engine, "spectral_radius",
+                            lambda *args, **kwargs: PowerEstimate(1.01, 0.0, 1))
+        A = assemble(10, "zero", layout=LAYOUT_BENCH).A
+        verdict = predict(A, IterationConfig("gj", m=1))
+        assert verdict.guarantee_source == ("M+GJ", "H+GJ")
+        assert verdict.radius.value == 1.01
+        assert verdict.predicted_converges is True
+        assert main(["classify", "--pde", "g=zero", "n=10", "--predict", "gj"]) == 0
+        out = capsys.readouterr().out
+        assert "guaranteed: true (M+GJ, H+GJ)\nrho: 1.01\npredicted_converges: true\n" in out
 
     def test_unreliable_radius_keeps_theorem_verdict(self, monkeypatch):
         monkeypatch.setattr(gsolve.engine, "eigs", _no_convergence)
         problem = assemble(15, "zero")  # order 225: the ARPACK path
         verdict = predict(problem.A, IterationConfig("ggs", m=1))
-        assert verdict.rho_estimate is None
-        assert verdict.guaranteed
+        assert not verdict.radius.reliable
+        assert verdict.guarantee_source
         assert verdict.predicted_converges is True
 
         # omega far beyond 2 / (1 + rho(H_GJ)): no theorem applies
         verdict = predict(problem.A, IterationConfig("gsor", m=1, omega=1.95))
-        assert verdict.rho_estimate is None
-        assert not verdict.guaranteed
+        assert not verdict.radius.reliable
+        assert verdict.guarantee_source == ()
         assert verdict.predicted_converges is None
 
 

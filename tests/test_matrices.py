@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -232,8 +233,9 @@ class TestBandBlocks:
 
 
 class TestComparisonMatrix:
-    def test_z_matrix_is_fixed_point(self, lmat3):
-        assert (comparison_matrix(lmat3).csr != lmat3.csr).nnz == 0
+    def test_z_matrix_is_fixed_point(self, lmat3, spd3):
+        assert comparison_matrix(lmat3) is lmat3
+        assert comparison_matrix(spd3) is not spd3  # a positive off-diagonal entry
 
     def test_small_example(self):
         A = SquareMatrix([[4.0, 2.0], [-1.0, 3.0]])
@@ -257,7 +259,7 @@ class TestComparisonMatrix:
         z_form = -np.abs(dense)
         np.fill_diagonal(z_form, np.abs(np.diag(dense)))
         Z = SquareMatrix(z_form)
-        assert (comparison_matrix(Z).csr != Z.csr).nnz == 0
+        assert comparison_matrix(Z) is Z
 
 
 def _offdiag_row_sums(A: SquareMatrix) -> np.ndarray:
@@ -400,6 +402,27 @@ class TestPredicates:
             # equality on one row, to the last bit of the column-order sum
             a[0, 0] = offdiag[0]
             assert not is_sdd(SquareMatrix(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.floats(1e-9, 1.0))
+    def test_sdd_claims_hold_in_exact_row_sums(self, n, seed, margin):
+        # Row i's diagonal lies within 2 ulps of its floating-point row sum, on
+        # either side; every other row is dominant by its whole off-diagonal sum.
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        np.fill_diagonal(a, 0.0)
+        sums = np.abs(a).sum(axis=1)
+        i, signs = rng.integers(n), rng.choice([-1.0, 1.0], n)
+        diagonal = 2.0 * sums
+        diagonal[i] = sums[i] + rng.integers(-2, 3) * np.spacing(sums[i])
+        np.fill_diagonal(a, signs * diagonal)
+        if is_sdd(SquareMatrix(a)):
+            for k, row in enumerate(a):
+                off = sum(Fraction(abs(x)) for j, x in enumerate(row) if j != k)
+                assert Fraction(abs(row[k])) > off, k
+        # a relative margin far above roundoff is always seen
+        a[i, i] = signs[i] * sums[i] * (1.0 + margin)
+        assert is_sdd(SquareMatrix(a))
 
     def test_spd_fixtures(self, spd3, spd4):
         assert is_spd(spd3)
