@@ -17,9 +17,9 @@ from scipy.sparse.linalg import SuperLU, splu
 
 #: Fixed largest order for an explicit iteration matrix (``iteration_matrix``,
 #: the CLI's dense ``rho``, which takes the ``--power`` route above it).  ``classify``
-#: also reports SPD as undetermined above it, although a certified M-matrix
-#: needs only the symmetry scan: the benchmark's recorded verdicts at order
-#: 22 350 (``perfbench/workloads.py``) pin that output.
+#: also reports SPD as undetermined above it, although a certified H-matrix
+#: with a positive diagonal needs only the symmetry scan: the benchmark's
+#: recorded verdicts at order 22 350 (``perfbench/workloads.py``) pin that output.
 DEFAULT_DENSE_LIMIT = 2000
 
 #: SuperLU panel width (columns factorized together) for every sparse LU in
@@ -239,8 +239,10 @@ def certify_m(A: SquareMatrix) -> MCertificate:
     and solves A x = e (all-ones) with it.  For a Z-matrix, x strictly
     positive (see :func:`positive_witness`) is equivalent to A being a
     nonsingular M-matrix, and (x, Ax = e) is then a storable witness pair;
-    the witness is scaled to unit max-norm.  A certified A keeps its SuperLU
-    factor in the certificate, which the regular-splitting radius reuses; any
+    the witness is scaled to unit max-norm.  If x fails but e passes, A e > 0
+    exactly proves the same (Berman & Plemmons, ch. 6), so an SDD <A> is always
+    certified, with witness e.  A certified A keeps its SuperLU factor, if any,
+    in the certificate, which the regular-splitting radius reuses; any
     other A gets (None, None, the reason).
 
     A Z-matrix is a nonsingular M-matrix iff elimination without pivoting
@@ -251,10 +253,10 @@ def certify_m(A: SquareMatrix) -> MCertificate:
     """
     if not is_z_matrix(A):
         return MCertificate(None, None, "not a Z-matrix")
-    lu = _unpivoted_lu(A)
-    if lu is None:
-        return MCertificate(None, None, "singular")
-    witness, note = positive_witness(A, lu.solve(np.ones(A.n)))
+    lu, ones = _unpivoted_lu(A), np.ones(A.n)
+    witness, note = (None, "singular") if lu is None else positive_witness(A, lu.solve(ones))
+    if witness is None and positive_witness(A, ones)[0] is not None:
+        witness, note = ones, None  # A e > 0 exactly: A is SDD
     return MCertificate(None if witness is None else lu, witness, note)
 
 
@@ -270,8 +272,9 @@ def positive_witness(A: SquareMatrix, x) -> tuple[np.ndarray | None, str | None]
     Accepts w = x / max|x| when w > 0 and fl(A w) > 2 gamma_k fl(|A| w)
     (:func:`gamma`, k the longest row's entry count): then A w > 0 exactly,
     which certifies a Z-matrix as a nonsingular M-matrix (Berman & Plemmons,
-    ch. 6), whatever the units of an unknown.  A row scaled 1e14 or more times the others is
-    refused.  Returns (w, None) or (None, the reason it fails).
+    ch. 6), whatever the units of an unknown.  A row scaled 1e14 or more times the others
+    is refused, unless strictly dominant: :func:`certify_m` then tries e.  Returns
+    (w, None) or (None, the reason it fails).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(x)):
@@ -322,9 +325,9 @@ class ClassificationReport:
 
     ``m`` and ``h`` are the :func:`certify_m` certificates of A and of its
     comparison matrix, one object when :func:`comparison_matrix` returns A
-    itself; a separate ``h`` keeps no factor.  ``is_spd`` is ``None``
-    (undetermined) above order ``DEFAULT_DENSE_LIMIT``; the other predicates
-    are always decided.
+    itself; a separate ``h`` keeps no factor.  ``is_sdd`` implies ``is_h``.
+    ``is_spd`` is ``None`` (undetermined) above order ``DEFAULT_DENSE_LIMIT``;
+    the other predicates are always decided.
     """
 
     is_sdd: bool
@@ -349,8 +352,9 @@ def classify(A: SquareMatrix) -> ClassificationReport:
 
     <A> is built once, before A is factorized: SDD is :func:`is_sdd`'s test on it, and
     A's M certificate serves for H when <A> is A.  SPD is decided up to order
-    ``DEFAULT_DENSE_LIMIT``: a certified M-matrix is SPD iff it is symmetric
-    (Berman & Plemmons, ch. 6), any other A by :func:`is_spd`.
+    ``DEFAULT_DENSE_LIMIT``: a certified H-matrix with a positive diagonal D is SPD
+    iff symmetric, as D^-1/2 A D^-1/2 = I - D^-1/2 B D^-1/2 with rho(D^-1/2 |B| D^-1/2)
+    < 1 (B off-diagonal), M-matrices included; any other A by :func:`is_spd`.
     """
     comparison = comparison_matrix(A)
     sdd = positive_witness(comparison, np.ones(A.n))[0] is not None  # is_sdd(A), one scan
@@ -359,22 +363,20 @@ def classify(A: SquareMatrix) -> ClassificationReport:
     h = m if comparison is A else certify_m(comparison)._replace(lu=None)
     notes = [f"{name}: {c.note}" for name, c in (("m", m), ("h (comparison matrix)", h))
              if c.note]
+    positive_diagonal = bool(np.all(A.csr.diagonal() > 0.0))
 
     spd: bool | None = None
     if A.n <= DEFAULT_DENSE_LIMIT:
-        spd = A.is_symmetric() if m.witness is not None else is_spd(A)
+        spd = A.is_symmetric() if h.witness is not None and positive_diagonal else is_spd(A)
     else:
         notes.append(
             f"spd: undetermined, order {A.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}"
         )
 
-    if sdd and h.witness is None:
-        notes.append("cross-check violated: SDD matrix failed H certification")
-
     return ClassificationReport(
         is_sdd=sdd,
         is_z=z,
-        is_l=z and bool(np.all(A.csr.diagonal() > 0.0)),
+        is_l=z and positive_diagonal,
         is_spd=spd,
         m=m,
         h=h,

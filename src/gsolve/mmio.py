@@ -16,14 +16,10 @@ from .matrices import SquareMatrix, require_real_array
 def read_matrix(path: str | Path) -> SquareMatrix:
     """Read a square real matrix from a Matrix Market file.
 
-    Handles both ``general`` and ``symmetric`` coordinate files as well as
-    array files; duplicate coordinates are summed.
+    Handles ``general`` and ``symmetric`` coordinate files and array files;
+    duplicate coordinates are summed, and :class:`SquareMatrix` refuses complex ones.
     """
     import scipy.io
-    path = Path(path)
-    field = scipy.io.mminfo(path)[4]
-    if field not in ("real", "integer", "pattern"):
-        raise ValueError(f"{path}: unsupported field {field!r}, need real data")
     return SquareMatrix(scipy.io.mmread(path))
 
 

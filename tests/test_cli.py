@@ -167,7 +167,8 @@ class TestRun:
         )
         code, out, err = run_cli(capsys, "run", "--mtx", str(path), "--method", "gj")
         assert (code, out) == (2, "")
-        assert "unsupported field 'complex', need real data" in err
+        assert "complex entries" in err
+        assert str(path) in err
 
     def test_fault_inside_the_reader_is_not_a_usage_error(self, monkeypatch, fixtures_dir):
         # only ValueError and OSError mean "cannot read"; anything else is a bug and propagates
@@ -422,6 +423,20 @@ class TestClassify:
         assert code == 0
         assert "sdd: false\n" in out
         assert "guaranteed: false (none)\n" in out
+
+    def test_predict_tags_a_row_scaled_sdd_matrix_as_m_and_h(self, capsys, tmp_path):
+        # the LU witness of this M-matrix fails in the scaled row, where e does not
+        a = 3.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
+        a[2] *= 1e16
+        path = tmp_path / "scaled.mtx"
+        write_matrix(path, SquareMatrix(a))
+        code, out, _ = run_cli(capsys, "classify", "--mtx", str(path), "--predict", "gj",
+                               "--m", "0")
+        assert code == 0
+        for line in ("sdd: true", "m: true", "h: true",
+                     "guaranteed: true (SDD+GJ, M+GJ, H+GJ)"):
+            assert line + "\n" in out
+        assert "cross-check" not in out
 
     @pytest.mark.parametrize("n", [6, 10, 12])
     def test_predict_past_omega_opt_on_small_grids(self, capsys, n):

@@ -25,7 +25,7 @@ from gsolve import (
     solve,
 )
 from generators import random_h_matrix, random_m_matrix, random_sdd_matrix
-from gsolve.matrices import MCertificate, certify_m, positive_witness
+from gsolve.matrices import certify_m, positive_witness
 from gsolve.pde import G_BUILTINS, LAYOUT_BENCH, LAYOUT_SQUARE, assemble
 
 
@@ -465,6 +465,14 @@ class TestPredicates:
         assert report.is_spd == dense_verdict == definite
 
 
+def _row_scaled_tridiagonal():
+    """Tridiagonal (3, -1) of order 5, row 2 scaled by 1e16: an SDD M-matrix
+    whose LU witness A^-1 e fails the sign test in the scaled row."""
+    a = 3.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
+    a[2] *= 1e16
+    return SquareMatrix(a)
+
+
 def _negative_diagonal_z_matrix(n, rng):
     """A Z-matrix that is not an M-matrix although its comparison matrix is."""
     a = random_m_matrix(n, rng).csr.toarray()
@@ -606,21 +614,56 @@ class TestClassify:
         oracle = bool(np.linalg.eigvalsh(A.csr.toarray()).min() > 0.0)
         assert report.is_spd == is_spd(A) == oracle == definite
 
-    def test_sdd_matrix_failing_h_certification_is_noted(self, monkeypatch):
-        A = SquareMatrix([[3.0, 1.0], [1.0, 3.0]])  # SDD, not a Z-matrix
-        note = "cross-check violated: SDD matrix failed H certification"
-        assert note not in classify(A).notes
-        comparison = comparison_matrix(A)
+    def test_sdd_comparison_matrix_is_certified_when_the_lu_witness_fails(self, monkeypatch):
+        # the factor's "solution" of A x = e is -e, so only e can certify A
+        factor = mock.Mock(solve=lambda v: -np.ones_like(v))
+        monkeypatch.setattr(gsolve.matrices, "_unpivoted_lu", lambda B: factor)
+        lu, witness, note = certify_m(comparison_matrix(SquareMatrix([[3.0, 1.0], [1.0, 3.0]])))
+        assert lu is factor and note is None
+        np.testing.assert_array_equal(witness, [1.0, 1.0])
+        weak = SquareMatrix([[1.0, -1.0], [-1.0, 3.0]])  # an M-matrix, but row 0 is not SDD
+        assert certify_m(weak) == (None, None, "witness has nonpositive components")
 
-        def failing(B):
-            if (B.csr != comparison.csr).nnz == 0:
-                return MCertificate(None, None, "forced failure")
-            return certify_m(B)
-
-        monkeypatch.setattr(gsolve.matrices, "certify_m", failing)
+    def test_row_scaled_sdd_m_matrix_is_certified(self):
+        A = _row_scaled_tridiagonal()
         report = classify(A)
-        assert report.is_sdd and not report.is_h
-        assert note in report.notes
+        assert report.is_sdd and report.is_m and report.is_h and report.notes == ()
+        assert report.h is report.m and report.m.lu is not None
+        assert is_m_matrix(A)[0] and is_h_matrix(A)
+
+    def test_row_scaled_sdd_non_z_matrix_is_h(self):
+        a = _row_scaled_tridiagonal().csr.toarray()
+        a[0, 1] = -a[0, 1]
+        report = classify(SquareMatrix(a))
+        assert report.is_sdd and not report.is_z and report.is_h
+        assert report.notes == ("m: not a Z-matrix",)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(0, 20))
+    def test_sdd_implies_h_with_a_row_scaled(self, n, seed, k):
+        rng = np.random.default_rng(seed)
+        a = random_sdd_matrix(n, rng).csr.toarray()
+        a[rng.integers(n)] *= 10.0**k
+        A = SquareMatrix(a)
+        if is_sdd(A):
+            assert classify(A).is_h and is_h_matrix(A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 11), st.integers(0, 2**32 - 1))
+    def test_spd_matches_the_eigenvalue_oracle(self, n, seed):
+        # Sparse symmetric off-diagonals with random signs, a diagonal of 0.6-1.4
+        # times the off-diagonal row sum, 5 % of it negated: H or not, SPD or not.
+        rng = np.random.default_rng(seed)
+        b = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4), 1)
+        a = b + b.T
+        sums = np.abs(a).sum(axis=1)
+        diagonal = rng.uniform(0.6, 1.4, n) * np.where(sums > 0.0, sums, 1.0)
+        np.fill_diagonal(a, np.where(rng.uniform(size=n) < 0.05, -diagonal, diagonal))
+        with mock.patch.object(gsolve.matrices, "is_spd", wraps=is_spd) as spy:
+            report = classify(SquareMatrix(a))
+        assert report.is_spd == bool(np.linalg.eigvalsh(a).min() > 0.0)
+        # a certified H-matrix with a positive diagonal needs only the symmetry scan
+        assert spy.called != (report.is_h and bool(np.all(np.diag(a) > 0.0)))
 
     def test_spd_undetermined_above_dense_limit(self):
         A = assemble(46, "zero", layout=LAYOUT_BENCH).A  # order 2070
